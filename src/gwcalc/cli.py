@@ -469,6 +469,10 @@ def _emit(record: dict, command: str, fmt: str, elapsed_ms: int | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Counts pass Python's default 4300-digit int<->str limit near N_572;
+    # lift it for this process so they print and round-trip through GW_CACHE.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     cache_path = os.environ.get("GW_CACHE")

@@ -30,9 +30,8 @@ def rational(numerator: int, denominator: int = 1) -> Fraction:
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), with C(n, k) = 0 for k < 0 or k > n.
 
-    The recursions sum boundary terms whose binomial index ranges can step
-    outside [0, n]; returning zero there lets those terms vanish without
-    special-casing at the call sites.
+    Returning zero outside [0, n] lets sums whose index ranges step past
+    the ends drop those terms without special-casing at the call sites.
     """
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n={n}")

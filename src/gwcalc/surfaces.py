@@ -12,18 +12,28 @@ appears exactly once, with coefficient one, in the term where one twig
 carries degree zero and both line conditions; the implementation moves
 every other term to the right-hand side.
 
+Each recursion has one bottom-up filler: ``_fill_nd`` fills its table in
+rising degree, ``_fill_nde`` in rising d + e, so no call stack grows with
+the degree.  Every new entry gets one binomial row, built incrementally,
+and every unordered split of its degree is visited once: the symmetry
+C(n, k) = C(n, n - k) turns the binomials of a split's mirror into entries
+of the same row, so the two terms share one product of lower counts.
+
 The memo tables are write-once per key and the functions are deterministic,
 so concurrent callers always observe identical values.  ``n_de`` normalizes
 its cache key to (min, max) since the count is symmetric in the bidegree;
-the raw single-orientation recursions are exposed separately so that the
-symmetry can be *tested* rather than assumed.
+the raw variants run the same fillers on a private table, ``n_de_raw``
+keyed in the given orientation.  Pairing a split with its mirror makes each
+summed weight unchanged when the bidegree is transposed, so ``n_de_raw(e,
+d)`` adds up the same terms as ``n_de_raw(d, e)``: the two orientations
+agree by construction and do not check each other.  The test suite checks
+both against an unpaired reference recursion instead.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .exact import binomial
 from .targets import P1xP1, ProjectiveSpace, TargetSpace
 
 _ND_CACHE: dict[int, int] = {}
@@ -55,64 +65,137 @@ def cache_snapshot() -> tuple[dict[int, int], dict[tuple[int, int], int]]:
     return dict(_ND_CACHE), dict(_NDE_CACHE)
 
 
-def _n_d_step(d: int, lookup: Callable[[int], int]) -> int:
-    """One unfolding of the plane recursion; lower counts come from lookup.
+def _binomial_row(n: int, top: int) -> list[int]:
+    """C(n, 0), ..., C(n, top), built by C(n, j+1) = C(n, j) (n-j) / (j+1).
 
-    The balance equation for degree d reads
-
-        N_d + sum C(3d-4, 3d_A-1) d_A^2 N_A * d_A d_B * N_B
-            = sum C(3d-4, 3d_A-2) d_A N_A * d_A d_B * d_B N_B
-
-    with both sums over d_A + d_B = d, d_A, d_B >= 1.
+    Entries past n come out zero, as the recursions need.
     """
-    total = 0
-    for da in range(1, d):
-        db = d - da
-        weight = (binomial(3 * d - 4, 3 * da - 2) * da * da * db * db
-                  - binomial(3 * d - 4, 3 * da - 1) * da ** 3 * db)
-        if weight:
-            total += weight * lookup(da) * lookup(db)
-    return total
+    row = [1]
+    value = 1
+    for j in range(top):
+        value = value * (n - j) // (j + 1)
+        row.append(value)
+    return row
 
 
-def _n_de_step(d: int, e: int, lookup: Callable[[int, int], int]) -> int:
-    """One unfolding of the bidegree recursion for d, e >= 1.
+def _fill_nd(d: int, table: dict[int, int]) -> int:
+    """N_d from the plane recursion, filling ``table`` in rising degree.
 
-    Summation is over bidegree splits (d_A, e_A) + (d_B, e_B) = (d, e) with
-    both parts nonzero, skipping the undefined (0, 0) count explicitly.  The
-    gluing factor is the intersection pairing d_A e_B + e_A d_B.
+    The balance equation for degree k reads
+
+        N_k + sum C(3k-4, 3a-1) a^2 N_a * a b * N_b
+            = sum C(3k-4, 3a-2) a N_a * a b * b N_b
+
+    with both sums over a + b = k, a, b >= 1.  Because
+    C(3k-4, 3b-2) = C(3k-4, 3a-2) and C(3k-4, 3b-1) = C(3k-4, 3a-3), the
+    terms for a and b share one product N_a N_b, so each unordered split
+    is visited once; the split a = b is its own mirror and counted once.
+    Entries already in ``table`` are reused, missing ones are written.
     """
-    m = 2 * d + 2 * e - 4
-    total = 0
-    for da in range(d + 1):
-        for ea in range(e + 1):
-            db, eb = d - da, e - ea
-            if da + ea == 0 or db + eb == 0:
-                continue
-            pairing = da * eb + ea * db
-            weight = pairing * (binomial(m, 2 * da + 2 * ea - 2) * da * eb
-                                - binomial(m, 2 * da + 2 * ea - 1) * da * ea)
-            if weight:
-                total += weight * lookup(da, ea) * lookup(db, eb)
-    return total
+    value = table.get(d)
+    if value is not None:
+        return value
+    counts = [0, 1]
+    for k in range(2, d + 1):
+        value = table.get(k)
+        if value is None:
+            half = k // 2
+            row = _binomial_row(3 * k - 4, 3 * half - 1)
+            value = 0
+            for a in range(1, half + 1):
+                b = k - a
+                j = 3 * a
+                if a == b:
+                    weight = (row[j - 2] - row[j - 1]) * a ** 4
+                else:
+                    weight = a * b * (2 * a * b * row[j - 2]
+                                      - a * a * row[j - 1]
+                                      - b * b * row[j - 3])
+                value += weight * (counts[a] * counts[b])
+            table[k] = value
+        counts.append(value)
+    return counts[d]
+
+
+def _oriented_key(d: int, e: int) -> tuple[int, int]:
+    return d, e
+
+
+def _symmetric_key(d: int, e: int) -> tuple[int, int]:
+    return (d, e) if d <= e else (e, d)
+
+
+def _fill_nde(d: int, e: int, table: dict[tuple[int, int], int],
+              key: Callable[[int, int], tuple[int, int]]) -> int:
+    """N_(d,e) for d, e >= 1 from the bidegree recursion, filling
+    ``table[key(p, q)]`` for 1 <= p <= d, 1 <= q <= e in rising p + q.
+
+    The sum for (p, q) runs over splits A + B = (p, q) with both parts
+    nonzero.  With s = |A| = d_A + e_A and m = 2(p+q) - 4, the split
+    contributes
+
+        <A, B> (C(m, 2s-2) d_A e_B - C(m, 2s-1) d_A e_A) N_A N_B,
+
+    where <A, B> = d_A e_B + e_A d_B is the intersection pairing.  Since
+    C(m, 2|B|-2) = C(m, 2s-2) and C(m, 2|B|-1) = C(m, 2s-3), the terms of
+    (A, B) and (B, A) share one product N_A N_B and are summed together;
+    the split A = B is counted once.  The paired weight is unchanged when
+    the bidegree is transposed.  Splits with a zero count (a part of
+    bidegree (0, k) or (k, 0) with k > 1, or the undefined (0, 0)) are
+    skipped before any product is formed.
+
+    With ``_symmetric_key`` and d <= e, the mirror (q, p) of an entry
+    with p > q lies in the box with the same degree sum and a smaller
+    first index, so it is read back rather than recomputed.
+    """
+    value = table.get(key(d, e))
+    if value is not None:
+        return value
+    # Rule counts on the axes; the (0, 0) corner is never a factor.
+    counts = [[0] * (e + 1) for _ in range(d + 1)]
+    counts[0][1] = counts[1][0] = 1
+    for total in range(2, d + e + 1):
+        m = 2 * total - 4
+        row = None
+        for p in range(max(1, total - e), min(d, total - 1) + 1):
+            q = total - p
+            slot = key(p, q)
+            value = table.get(slot)
+            if value is None:
+                if row is None:
+                    # shifted by one so that C(m, -1) = 0 sits at row[0]
+                    row = [0] + _binomial_row(m, m + 1)
+                value = 0
+                for x in range(p // 2 + 1):
+                    mirror = 2 * x == p
+                    for y in range((q // 2 if mirror else q) + 1):
+                        xb, yb = p - x, q - y
+                        na, nb = counts[x][y], counts[xb][yb]
+                        if not (na and nb):
+                            continue
+                        pairing = x * yb + y * xb
+                        i = 2 * (x + y)     # row[i] = C(m, 2s - 1)
+                        if mirror and 2 * y == q:
+                            weight = pairing * x * y * (row[i - 1] - row[i])
+                        else:
+                            weight = pairing * (pairing * row[i - 1]
+                                                - x * y * row[i]
+                                                - xb * yb * row[i - 2])
+                        if weight:
+                            value += weight * (na * nb)
+                table[slot] = value
+            counts[p][q] = value
+    return counts[d][e]
 
 
 def n_d_raw(d: int, cache: dict[int, int] | None = None) -> int:
-    """Degree-d plane curve count without the shared memo table.
-
-    With ``cache=None`` this is a genuinely memo-free tree recursion,
-    feasible for small d; passing a fresh dict gives a private memo.
-    """
+    """Degree-d plane curve count filled into ``cache`` instead of the
+    shared memo table; ``cache=None`` starts from a fresh table."""
     if d < 1:
         raise ValueError(f"plane curve count needs degree >= 1, got {d}")
     if d == 1:
         return 1
-    if cache is not None and d in cache:
-        return cache[d]
-    value = _n_d_step(d, lambda k: n_d_raw(k, cache))
-    if cache is not None:
-        cache[d] = value
-    return value
+    return _fill_nd(d, {} if cache is None else cache)
 
 
 def n_d(d: int) -> int:
@@ -121,9 +204,7 @@ def n_d(d: int) -> int:
         raise ValueError(f"plane curve count needs degree >= 1, got {d}")
     if d == 1:
         return 1
-    if d not in _ND_CACHE:
-        _ND_CACHE[d] = _n_d_step(d, n_d)
-    return _ND_CACHE[d]
+    return _fill_nd(d, _ND_CACHE)
 
 
 def _nde_base(d: int, e: int) -> int | None:
@@ -140,20 +221,18 @@ def _nde_base(d: int, e: int) -> int | None:
 
 
 def n_de_raw(d: int, e: int, cache: dict[tuple[int, int], int] | None = None) -> int:
-    """Bidegree-(d, e) count computed in the given orientation only.
+    """Bidegree-(d, e) count filled into ``cache`` instead of the shared
+    memo table; ``cache=None`` starts from a fresh table.
 
-    No (d, e) <-> (e, d) normalization is applied, so evaluating both
-    orientations exercises two genuinely distinct computations.
+    Every entry of the box up to (d, e) is stored under its own (p, q) key,
+    with no (p, q) <-> (q, p) normalization.  The paired split weights are
+    symmetric under transposition, so ``n_de_raw(e, d)`` sums the same terms
+    as ``n_de_raw(d, e)`` and is not an independent check of it.
     """
     base = _nde_base(d, e)
     if base is not None:
         return base
-    if cache is not None and (d, e) in cache:
-        return cache[(d, e)]
-    value = _n_de_step(d, e, lambda a, b: n_de_raw(a, b, cache))
-    if cache is not None:
-        cache[(d, e)] = value
-    return value
+    return _fill_nde(d, e, {} if cache is None else cache, _oriented_key)
 
 
 def n_de(d: int, e: int) -> int:
@@ -162,10 +241,7 @@ def n_de(d: int, e: int) -> int:
     base = _nde_base(d, e)
     if base is not None:
         return base
-    key = (min(d, e), max(d, e))
-    if key not in _NDE_CACHE:
-        _NDE_CACHE[key] = _n_de_step(key[0], key[1], n_de)
-    return _NDE_CACHE[key]
+    return _fill_nde(min(d, e), max(d, e), _NDE_CACHE, _symmetric_key)
 
 
 def required_points(target: TargetSpace, degree) -> int:

@@ -6,8 +6,11 @@ from fractions import Fraction
 from importlib import resources
 
 import jsonschema
+import pytest
 
+from gwcalc.cli import main
 from gwcalc.series import parse_series
+from gwcalc.surfaces import n_d
 
 
 def run_cli(*args, env_extra=None):
@@ -199,6 +202,38 @@ def test_cache_round_trip(tmp_path):
     # a second run reads the cache and reproduces the value
     result = run_cli("nd", "--d", "6", env_extra={"GW_CACHE": str(cache)})
     assert result.stdout.strip() == "26312976"
+
+
+@pytest.fixture
+def restore_int_str_limit():
+    """``main`` lifts the int<->str digit limit; undo that after the test."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_nd_prints_counts_past_the_digit_limit(capsys, monkeypatch,
+                                               restore_int_str_limit):
+    monkeypatch.delenv("GW_CACHE", raising=False)
+    assert main(["nd", "--d", "600"]) == 0
+    text = capsys.readouterr().out.strip()
+    assert len(text) == 4552
+    assert int(text) == n_d(600)
+
+
+def test_cache_round_trips_counts_past_the_digit_limit(tmp_path,
+                                                       restore_int_str_limit):
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    line = f"nd:600\t{n_d(600)}\n"
+    cache = tmp_path / "cache.txt"
+    cache.write_text(line)
+    result = run_cli("nd", "--d", "600", env_extra={"GW_CACHE": str(cache)})
+    assert result.returncode == 0
+    assert result.stdout == line[len("nd:600\t"):]
+    # the entry was loaded, not dropped: nothing below it was recomputed
+    assert cache.read_text() == line
 
 
 def test_usage_error_on_unknown_target():
