@@ -3,8 +3,14 @@
 Every computation in the library is reachable through a subcommand, with
 plain, CSV (header row included) and JSON output.  JSON records validate
 against the schema shipped at ``gwcalc/data/output_schema.json``.  Exit
-codes are a stable contract: 0 on success, 1 when a verification command
-finds a violated identity, 2 on usage errors.
+codes are a stable contract:
+
+* 0: success;
+* 1: a verification command found a violated identity;
+* 2: a usage error (bad arguments or violated preconditions);
+* 3: an internal error, reported as one stderr line
+  ``internal error: <Type>: <message>`` without a traceback.  Such a run
+  does not write ``GW_CACHE``.
 
 Outputs are deterministic byte-for-byte; a timing field is only attached
 when explicitly requested with ``--timing``.
@@ -475,7 +481,17 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_path = os.environ.get("GW_CACHE")
+    try:
+        return _run(args, os.environ.get("GW_CACHE"))
+    except Exception as exc:
+        # A defect, not a verdict: exit 1 is kept for violated identities.
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 3
+
+
+def _run(args, cache_path: str | None) -> int:
     if cache_path:
         _load_cache(cache_path)
     started = time.monotonic()

@@ -1,14 +1,17 @@
 """Genus-0 Gromov-Witten invariants of P^r and P1 x P1.
 
-The evaluation strategy layers four reductions in front of a recursion:
+Every invariant takes the same path (Kontsevich-Manin 1994, section 2).
+Each step is written once, on degrees and exponent tuples:
 
-1. dimension gate: the invariant vanishes unless the input codimensions
-   sum to the dimension of the ambient moduli space of stable maps;
-2. degree zero: only three-point invariants survive, with value one;
-3. fundamental class: an h^0 (resp. T_0) input kills every positive-degree
-   invariant;
-4. divisor classes: each codimension-1 input is traded for a factor of the
-   matching degree component.
+1. dimension gate (``_vdim``): the invariant vanishes unless the input
+   codimensions sum to c1(beta) + dim X + n - 3, the dimension of the
+   space of n-pointed genus-0 stable maps, where c1(beta) is (r+1)d on
+   P^r and 2(d+e) on P1 x P1;
+2. degree zero (``_degree_zero``): a constant map needs three marks, and
+   a three-point invariant is the triple intersection number;
+3. strip (``_strip``): in positive degree a fundamental class (h^0, T_0)
+   kills the invariant, and each divisor class is traded for its pairing
+   with the degree: d per h^1 on P^r, e per T_1 and d per T_2 on P1 x P1.
 
 After these steps a P1 x P1 invariant consists of point classes only and
 equals the curve count N_(d,e).  For P^r with r >= 2 the remaining
@@ -17,6 +20,10 @@ remaining class h^c is written as h^1 u h^(c-1), those two factors are
 placed on two extra marks, and the resulting pair of equivalent boundary
 divisors is expanded by the splitting formula.  The unknown invariant
 appears in the expansion exactly once with coefficient one.
+
+P^1 keeps its closed form (``gw_p1``), and the strip leaves h^1 in place
+there: this package sets I_1() = 0 on P^1 but I_1(h^1) = 1, so the divisor
+axiom, which would equate the two, is not applied.
 
 All values are integers; the public functions return them as ``Fraction``
 since the surrounding series machinery works over the rationals.  Memo
@@ -30,7 +37,7 @@ from fractions import Fraction
 
 from .exact import binomial
 from .surfaces import n_de
-from .targets import (Degree, ExponentVector, InvariantKey, P1xP1,
+from .targets import (P1XP1, Degree, ExponentVector, InvariantKey, P1xP1,
                       ProjectiveSpace, TargetSpace, total_codim,
                       validate_degree)
 
@@ -40,6 +47,46 @@ _PR_CACHE: dict[tuple[int, int, ExponentVector], int] = {}
 def clear_caches() -> None:
     """Drop the memoized reconstruction values."""
     _PR_CACHE.clear()
+
+
+def _vdim(index: int, dim: int, total: int, n: int) -> int:
+    """c1(beta) + dim X + n - 3 with c1(beta) = index * total: index r + 1
+    and total d on P^r, index 2 and total d + e on P1 x P1."""
+    return index * total + dim + n - 3
+
+
+def _degree_zero(exps: ExponentVector, square_zero: tuple[int, ...] = ()) -> int:
+    """Degree-zero invariant of a key that passed the gate.  Only
+    three-point invariants survive; their classes cup to the point class
+    unless one whose square is zero (T_1 or T_2 on P1 x P1) repeats."""
+    return int(sum(exps) == 3 and all(exps[i] < 2 for i in square_zero))
+
+
+def _strip(exps: ExponentVector, pairings: tuple[int, ...]
+           ) -> tuple[int, ExponentVector]:
+    """Fundamental-class and divisor axioms in positive degree.
+
+    ``pairings`` holds <beta, D> for the divisor classes at basis indices
+    1, 2, ...  Returns (multiplier, exponents with index 0 and those
+    divisors removed).  A divisor with zero pairing gives multiplier 0: a
+    curve missing that component of its bidegree is disjoint from a generic
+    rule of the same family.
+    """
+    k = len(pairings) + 1
+    mult = 0 if exps[0] else 1
+    for pairing, a in zip(pairings, exps[1:k]):
+        mult *= pairing ** a
+    return mult, (0,) * k + exps[k:]
+
+
+def _shape(target: TargetSpace, degree: Degree
+           ) -> tuple[int, int, int, tuple[int, ...]]:
+    """(index, dim X, total degree, divisor pairings) for the steps above."""
+    if isinstance(target, P1xP1):
+        d, e = degree
+        return 2, 2, d + e, (e, d)
+    r = target.r
+    return r + 1, r, degree, (degree,) if r >= 2 else ()
 
 
 def dim_moduli(target: TargetSpace, degree: Degree, n: int) -> int:
@@ -52,71 +99,38 @@ def dim_moduli(target: TargetSpace, degree: Degree, n: int) -> int:
     validate_degree(target, degree)
     if n < 0:
         raise ValueError(f"mark count must be >= 0, got {n}")
-    if isinstance(target, ProjectiveSpace):
-        total = degree
-    else:
-        total = degree[0] + degree[1]
+    index, dim, total, _ = _shape(target, degree)
     if total == 0 and n < 3:
         raise ValueError(
             "no stable maps: a constant map needs at least three marks")
-    if isinstance(target, ProjectiveSpace):
-        r, d = target.r, degree
-        return r * d + r + d + n - 3
-    d, e = degree
-    return n + 2 * d + 2 * e - 1
+    return _vdim(index, dim, total, n)
 
 
 def dimension_admissible(key: InvariantKey) -> bool:
     """True when the input codimensions sum to the moduli dimension."""
-    total = key.degree if isinstance(key.target, ProjectiveSpace) \
-        else key.degree[0] + key.degree[1]
-    if total == 0 and key.n_marks < 3:
+    try:
+        return key.codim_sum == dim_moduli(key.target, key.degree,
+                                           key.n_marks)
+    except ValueError:  # a constant map with fewer than three marks
         return False
-    return key.codim_sum == dim_moduli(key.target, key.degree, key.n_marks)
 
 
 def reduce_invariant(key: InvariantKey) -> tuple[int, InvariantKey]:
     """Strip fundamental-class and divisor-class inputs.
 
-    Returns (multiplier, reduced key) with the reduced key carrying only
-    classes of codimension >= 2.  A fundamental class forces multiplier 0
-    in positive degree; a divisor class contributes one factor of the
-    matching degree component per occurrence.  Degree-zero keys are
-    returned untouched: their three-point evaluation handles low
-    codimensions directly.
-
-    A P1 x P1 rule class whose matching degree component is zero (T_1 with
-    e = 0, or T_2 with d = 0) yields multiplier 0: a curve missing that
-    component of its bidegree is disjoint from a generic rule of the same
-    family, so the extra incidence condition admits no map.
+    Returns (multiplier, reduced key) with the reduced key carrying no
+    fundamental class and no divisor class (h^1 stays on P^1).  A
+    fundamental class forces multiplier 0 in positive degree; a divisor
+    class contributes one factor of the matching degree component per
+    occurrence, so a P1 x P1 rule class whose matching component is zero
+    gives multiplier 0.  Degree-zero keys are returned untouched: their
+    three-point evaluation handles low codimensions directly.
     """
-    target, degree = key.target, key.degree
-    exps = list(key.exponents)
-    if isinstance(target, ProjectiveSpace):
-        if degree == 0:
-            return 1, key
-        mult = 1
-        if exps[0]:
-            mult = 0
-            exps[0] = 0
-        if target.r >= 2 and exps[1]:
-            mult *= degree ** exps[1]
-            exps[1] = 0
-        return mult, InvariantKey(target, degree, tuple(exps))
-    d, e = degree
-    if d == 0 and e == 0:
+    _, _, total, pairings = _shape(key.target, key.degree)
+    if not total:
         return 1, key
-    mult = 1
-    if exps[0]:
-        mult = 0
-        exps[0] = 0
-    if exps[1]:
-        mult *= e ** exps[1]
-        exps[1] = 0
-    if exps[2]:
-        mult *= d ** exps[2]
-        exps[2] = 0
-    return mult, InvariantKey(target, degree, tuple(exps))
+    mult, exps = _strip(key.exponents, pairings)
+    return mult, InvariantKey(key.target, key.degree, exps)
 
 
 def gw_p1(key: InvariantKey) -> Fraction:
@@ -145,27 +159,16 @@ def gw_pr(key: InvariantKey) -> Fraction:
 
 
 def _gw_pr_int(r: int, d: int, exps: ExponentVector) -> int:
-    n = sum(exps)
-    codim = sum(i * a for i, a in enumerate(exps))
-    if codim != r * d + r + d + n - 3:
+    if sum(i * a for i, a in enumerate(exps)) != _vdim(r + 1, r, d, sum(exps)):
         return 0
     if d == 0:
-        # Only three-point invariants survive in degree zero; the gate
-        # already forces their codimensions to sum to r, so the triple cup
-        # product is the point class and the integral is one.
-        return 1 if n == 3 else 0
-    if exps[0]:
+        return _degree_zero(exps)
+    mult, exps = _strip(exps, (d,))
+    if not mult:
         return 0
-    mult = 1
-    if exps[1]:
-        mult = d ** exps[1]
-        exps = (0, 0) + exps[2:]
-        n = sum(exps)
-    if n < 3:
-        # Two marks: the line through two points, I_1(h^r.h^r) = 1.
-        if d == 1 and n == 2 and exps[r] == 2:
-            return mult
-        return 0
+    if sum(exps) < 3:
+        # The gate leaves only the line through two points, I_1(h^r.h^r) = 1.
+        return mult
     cache_key = (r, d, exps)
     cached = _PR_CACHE.get(cache_key)
     if cached is None:
@@ -204,26 +207,26 @@ def _reconstruct(r: int, d: int, exps: ExponentVector) -> int:
     b2 = max(i for i in range(2, r + 1) if rest[i])
     rest[b2] -= 1
     free = tuple(rest)
+    splits = [(sub, tuple(f - s for f, s in zip(free, sub)), ways, sum(sub),
+               sum(i * a for i, a in enumerate(sub)))
+              for sub, ways in _submultisets(free)]
 
     total = 0
     for da in range(d + 1):
         db = d - da
-        for sub, ways in _submultisets(free):
-            comp = tuple(f - s for f, s in zip(free, sub))
-            k = sum(sub)
-            sub_codim = sum(i * a for i, a in enumerate(sub))
-            # A-side gluing class index forced by the A-side dimension gate;
-            # base codimensions: 1 + (c-1) on the left, 1 + b1 on the right.
-            dim_a = (r + 1) * da + r + (3 + k) - 3
+        # The A-side gate forces its gluing class h^i; the base marks carry
+        # codimension 1 + (c-1) on the left and 1 + b1 on the right.
+        dim_a = _vdim(r + 1, r, da, 3)
+        for sub, comp, ways, k, sub_codim in splits:
             lhs = 0
-            if not (da == 0 and k == 0):
-                i = dim_a - c - sub_codim
+            if da or k:
+                i = dim_a + k - c - sub_codim
                 if 0 <= i <= r:
                     fa = _gw_side(r, da, sub, (1, c - 1, i))
                     if fa:
                         fb = _gw_side(r, db, comp, (b1, b2, r - i))
                         lhs = fa * fb
-            i = dim_a - 1 - b1 - sub_codim
+            i = dim_a + k - 1 - b1 - sub_codim
             rhs = 0
             if 0 <= i <= r:
                 fa = _gw_side(r, da, sub, (1, b1, i))
@@ -254,6 +257,17 @@ def _submultisets(exps: ExponentVector):
     return out
 
 
+def _gw_p1x1_int(d: int, e: int, exps: ExponentVector) -> int:
+    index, dim, total, pairings = _shape(P1XP1, (d, e))
+    if total_codim(P1XP1, exps) != _vdim(index, dim, total, sum(exps)):
+        return 0
+    if not total:
+        return _degree_zero(exps, square_zero=(1, 2))
+    mult, _ = _strip(exps, pairings)
+    # The gate leaves exactly 2(d+e) - 1 point classes.
+    return mult and mult * n_de(d, e)
+
+
 def gw_p1x1(key: InvariantKey) -> Fraction:
     """Genus-0 invariant of P1 x P1.
 
@@ -263,34 +277,9 @@ def gw_p1x1(key: InvariantKey) -> Fraction:
     pins their number to 2(d+e) - 1, where the value is the curve count
     N_(d,e).  No separate splitting recursion is required.
     """
-    target = key.target
-    if not isinstance(target, P1xP1):
-        raise ValueError(f"gw_p1x1 expects target P1xP1, got {target}")
-    d, e = key.degree
-    a0, a1, a2, a3 = key.exponents
-    n = a0 + a1 + a2 + a3
-    if key.codim_sum != n + 2 * d + 2 * e - 1:
-        return Fraction(0)
-    if d == 0 and e == 0:
-        # Three-point integrals over the surface itself; two equal rule
-        # classes cup to zero, every other admissible triple gives the
-        # point class.
-        if n == 3 and a1 <= 1 and a2 <= 1:
-            return Fraction(1)
-        return Fraction(0)
-    if a0:
-        return Fraction(0)
-    mult = 1
-    if a1:
-        if e == 0:
-            return Fraction(0)
-        mult *= e ** a1
-    if a2:
-        if d == 0:
-            return Fraction(0)
-        mult *= d ** a2
-    # The gate above forces a3 == 2(d+e) - 1 at this point.
-    return Fraction(mult * n_de(d, e))
+    if not isinstance(key.target, P1xP1):
+        raise ValueError(f"gw_p1x1 expects target P1xP1, got {key.target}")
+    return Fraction(_gw_p1x1_int(*key.degree, key.exponents))
 
 
 def gw_invariant(key: InvariantKey) -> Fraction:
@@ -306,30 +295,18 @@ def gw_invariant(key: InvariantKey) -> Fraction:
 def collected_invariant(target: TargetSpace, exponents: ExponentVector) -> Fraction:
     """Sum of the invariant over all degrees; at most one degree survives.
 
-    The dimension gate solves for the degree: d = (codim - r - n + 3)/(r+1)
-    on P^r, and d + e = (codim - n + 1)/2 on P1 x P1, where the sum runs
-    over all bidegree splits of that total.
+    The dimension gate solves for the total degree, d on P^r and d + e on
+    P1 x P1, where the sum runs over all bidegree splits of that total.
     """
     codim = total_codim(target, exponents)
-    n = sum(exponents)
-    if isinstance(target, ProjectiveSpace):
-        r = target.r
-        num = codim - r - n + 3
-        if num < 0 or num % (r + 1):
-            return Fraction(0)
-        d = num // (r + 1)
-        if d == 0 and n < 3:
-            return Fraction(0)
-        return gw_invariant(InvariantKey(target, d, exponents))
-    num = codim - n + 1
-    if num < 0 or num % 2:
+    p1x1 = isinstance(target, P1xP1)
+    index, dim, _, _ = _shape(target, (0, 0) if p1x1 else 0)
+    total, rest = divmod(codim - _vdim(index, dim, 0, sum(exponents)), index)
+    if total < 0 or rest:
         return Fraction(0)
-    total = num // 2
-    if total == 0:
-        if n < 3:
-            return Fraction(0)
-        return gw_p1x1(InvariantKey(target, (0, 0), exponents))
-    value = Fraction(0)
-    for d in range(total + 1):
-        value += gw_p1x1(InvariantKey(target, (d, total - d), exponents))
-    return value
+    if p1x1:
+        if any(a < 0 for a in exponents):
+            raise ValueError(f"exponents must be >= 0, got {exponents}")
+        return Fraction(sum(_gw_p1x1_int(d, total - d, exponents)
+                            for d in range(total + 1)))
+    return gw_invariant(InvariantKey(target, total, exponents))

@@ -153,33 +153,22 @@ class RingElement:
 
 def cup_pr(i: int, j: int, r: int) -> RingElement:
     """Cup product h^i u h^j in H*(P^r) = Q[h]/(h^(r+1))."""
-    target = ProjectiveSpace(r)
-    target.codim(i)
-    target.codim(j)
-    if i + j <= r:
-        return RingElement.basis(target, i + j)
-    return RingElement.zero(target)
-
-
-_CUP_P1X1 = {
-    (1, 1): None, (2, 2): None, (3, 3): None,
-    (1, 2): 3, (1, 3): None, (2, 3): None,
-}
+    return _cup(ProjectiveSpace(r), i, j)
 
 
 def cup_p1x1(i: int, j: int) -> RingElement:
     """Cup product T_i u T_j in H*(P1xP1) = Q[h, v]/(h^2, v^2)."""
-    target = P1xP1()
+    return _cup(P1xP1(), i, j)
+
+
+def _cup(target: TargetSpace, i: int, j: int) -> RingElement:
+    """The q-free part of the small quantum product of two basis classes."""
     target.codim(i)
     target.codim(j)
-    if i == 0:
-        return RingElement.basis(target, j)
-    if j == 0:
-        return RingElement.basis(target, i)
-    result = _CUP_P1X1[(min(i, j), max(i, j))]
-    if result is None:
+    basis, mono = _small_basis_product(target, i, j)
+    if any(mono):
         return RingElement.zero(target)
-    return RingElement.basis(target, result)
+    return RingElement.basis(target, basis)
 
 
 # Small quantum multiplication table for P1xP1: basis pair (i <= j) to
@@ -344,13 +333,13 @@ class BigQuantumElement:
 
 
 def big_qmul(a: BigQuantumElement, b: BigQuantumElement) -> BigQuantumElement:
-    """Big quantum product: h^i * h^j = sum_{e+f=dim} Phi_ije h^f,
-    extended bilinearly over the coefficient series."""
+    """Big quantum product: T_i * T_j = sum_f Phi_(i,j,m-1-f) T_f, extended
+    bilinearly over the coefficient series.  Both bases (of size m) are
+    self-dual in reverse order: h^f pairs with h^(r-f), T_f with T_(3-f)."""
     a._check(b)
     target = a.target
     order = a.order
     m = target.basis_size
-    top = target.dimension if isinstance(target, ProjectiveSpace) else 3
     out = [TruncatedSeries.zero(m, order) for _ in range(m)]
     for i in range(m):
         ai = a.components[i]
@@ -362,10 +351,7 @@ def big_qmul(a: BigQuantumElement, b: BigQuantumElement) -> BigQuantumElement:
                 continue
             factor = ai * bj
             for f in range(m):
-                e = top - f
-                if e < 0 or e >= m:
-                    continue
-                phi = phi_ijk(target, i, j, e, order)
+                phi = phi_ijk(target, i, j, m - 1 - f, order)
                 if phi.is_zero():
                     continue
                 out[f] = out[f] + factor * phi

@@ -8,14 +8,21 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from gwcalc import cli
 from gwcalc.cli import main
 from gwcalc.series import parse_series
 from gwcalc.surfaces import n_d
 
 
+# The child process imports the same gwcalc as these tests, installed or not.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(cli.__file__))
+
+
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("GW_CACHE", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -240,3 +247,28 @@ def test_usage_error_on_unknown_target():
     assert run_cli("gw", "--target", "p0", "--degree", "1",
                    "--classes", "h1:2").returncode == 2
     assert run_cli("wdvv", "--target", "p3", "--order", "4").returncode == 2
+
+
+def test_cache_path_that_is_a_directory_exits_3(tmp_path):
+    result = run_cli("nd", "--d", "3", env_extra={"GW_CACHE": str(tmp_path)})
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("internal error: IsADirectoryError: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
+
+
+def test_internal_error_exits_3_and_leaves_the_cache_alone(
+        tmp_path, monkeypatch, capsys, restore_int_str_limit):
+    def broken(args):
+        n_d(3)  # fills the in-memory tables that a save would write
+        raise RuntimeError("boom\nsecond line")
+
+    cache = tmp_path / "cache.txt"
+    monkeypatch.setenv("GW_CACHE", str(cache))
+    monkeypatch.setitem(cli._COMMANDS, "nd", broken)
+    assert main(["nd", "--d", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom second line\n"
+    assert not cache.exists()

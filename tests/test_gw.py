@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -250,3 +250,53 @@ def test_dimension_gate_random_p1x1():
             continue
         assert gw_p1x1(k) == 0
         checked += 1
+
+
+def stripped_admissible_keys():
+    """Admissible keys with no fundamental or divisor class: P^2-P^4 in
+    degree 1-3, and P1xP1 with 1 <= d + e <= 3."""
+    for r in range(2, 5):
+        for d in range(1, 4):
+            # The gate on classes of codimension >= 2 alone: the marks'
+            # codimensions minus one add up to (r+1)d + r - 3.
+            excess = (r + 1) * d + r - 3
+            for counts in product(range(excess + 1), repeat=r - 1):
+                if sum(c * a for c, a in enumerate(counts, 1)) == excess:
+                    yield InvariantKey(ProjectiveSpace(r), d, (0, 0) + counts)
+    for d, e in product(range(4), repeat=2):
+        if 1 <= d + e <= 3:
+            yield InvariantKey(P1XP1, (d, e), (0, 0, 0, 2 * (d + e) - 1))
+
+
+def test_reduction_sweep():
+    # Fundamental-class axiom: any h0/T0 input kills a positive-degree
+    # invariant.  Divisor axiom: each h1 gives a factor d on P^r, each T1 a
+    # factor e and each T2 a factor d on P1xP1.
+    checked = 0
+    for base in stripped_admissible_keys():
+        assert dimension_admissible(base), base
+        value = gw_invariant(base)
+        target, degree = base.target, base.degree
+        p1x1 = target == P1XP1
+        for added in product(range(3), repeat=3 if p1x1 else 2):
+            exps = added + base.exponents[len(added):]
+            if added[0]:
+                mult = 0
+            elif p1x1:
+                mult = degree[1] ** added[1] * degree[0] ** added[2]
+            else:
+                mult = degree ** added[1]
+            k = InvariantKey(target, degree, exps)
+            assert reduce_invariant(k) == (mult, base), k
+            assert gw_invariant(k) == mult * value, k
+            checked += 1
+    assert checked > 500
+    # P^1 keeps h1: its convention I_1() = 0 while I_1(h1) = 1 does not
+    # follow the divisor axiom, so only the fundamental class is stripped.
+    P1 = ProjectiveSpace(1)
+    for a0, a1 in product(range(3), range(4)):
+        k = InvariantKey(P1, 1, (a0, a1))
+        kept = InvariantKey(P1, 1, (0, a1))
+        mult = 0 if a0 else 1
+        assert reduce_invariant(k) == (mult, kept)
+        assert gw_invariant(k) == mult * gw_invariant(kept)
