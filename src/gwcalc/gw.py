@@ -298,15 +298,15 @@ def collected_invariant(target: TargetSpace, exponents: ExponentVector) -> Fract
     The dimension gate solves for the total degree, d on P^r and d + e on
     P1 x P1, where the sum runs over all bidegree splits of that total.
     """
-    codim = total_codim(target, exponents)
+    codim = total_codim(target, exponents)  # checks the length
+    if any(a < 0 for a in exponents):
+        raise ValueError(f"exponents must be >= 0, got {exponents}")
     p1x1 = isinstance(target, P1xP1)
     index, dim, _, _ = _shape(target, (0, 0) if p1x1 else 0)
     total, rest = divmod(codim - _vdim(index, dim, 0, sum(exponents)), index)
     if total < 0 or rest:
         return Fraction(0)
     if p1x1:
-        if any(a < 0 for a in exponents):
-            raise ValueError(f"exponents must be >= 0, got {exponents}")
         return Fraction(sum(_gw_p1x1_int(d, total - d, exponents)
                             for d in range(total + 1)))
     return gw_invariant(InvariantKey(target, total, exponents))

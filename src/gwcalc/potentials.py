@@ -6,37 +6,40 @@ The potential of a target is the exponential generating function
 
 over exponent vectors a, where I is the collected invariant.  It splits
 into the classical part (degree-zero invariants, a cubic polynomial) and
-the quantum part carrying the curve counts.  Third partial derivatives
-Phi_ijk are the structure constants of the quantum product, and the
-associativity of that product is equivalent to the WDVV equations
+the quantum part carrying the curve counts.  One builder makes the quantum
+part of every structure constant Phi_ijk (third partial derivative), and
+the WDVV equation, the associativity of the quantum product, is one residual
 
-    sum_{e+f=r} Phi_ije Phi_fkl = sum_{e+f=r} Phi_jke Phi_ifl.
+    sum_e Phi_ije Phi_(m-1-e)kl - Phi_jke Phi_i(m-1-e)l       (basis size m)
 
-For the two surfaces the equations collapse to a single identity each:
+which over the reduced constants is one identity per surface, at the index
+quadruples (1, 1, 2, 2) on P^2 and (1, 2, 3, 3) on P1xP1:
 
     P^2:     G222 + G111*G122 = G112*G112       (one variable)
     P1xP1:   G333 + G112*G233 + G122*G133 = G123*G123 + G223*G113
 
-whose coefficient expansions are precisely the curve-count recursions, so
-the residual series vanishing identically is a strong end-to-end check of
-the whole table.  The residual builders accept an alternative count source
-so that deliberately perturbed tables can be shown to break the identity.
+whose coefficient expansions are the curve-count recursions.  The residuals
+take another count source, so that perturbed tables can be shown to fail.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from math import prod
 from typing import Callable
 
-from .exact import factorial
-from .gw import collected_invariant, gw_invariant
+from .exact import as_integer, factorial
+from .gw import _shape, _strip, _vdim, gw_invariant
 from .series import TruncatedSeries
 from .surfaces import n_d, n_de
-from .targets import (ExponentVector, InvariantKey, P1xP1, ProjectiveSpace,
-                      TargetSpace)
+from .targets import (P1XP1, Degree, ExponentVector, InvariantKey, P1xP1,
+                      ProjectiveSpace, TargetSpace, exponents_from_classes)
 
 NdSource = Callable[[int], int]
 NdeSource = Callable[[int, int], int]
+
+_P2 = ProjectiveSpace(2)
 
 
 def _exponent_vectors(nvars: int, max_total: int):
@@ -47,6 +50,10 @@ def _exponent_vectors(nvars: int, max_total: int):
     for head in range(max_total + 1):
         for tail in _exponent_vectors(nvars - 1, max_total - head):
             yield (head,) + tail
+
+
+def _zero_degree(target: TargetSpace) -> Degree:
+    return (0, 0) if isinstance(target, P1xP1) else 0
 
 
 def classical_potential(target: TargetSpace) -> TruncatedSeries:
@@ -60,26 +67,12 @@ def classical_potential(target: TargetSpace) -> TruncatedSeries:
             raise ValueError(
                 f"classical potential is provided for P^1..P^3 and P1xP1, "
                 f"got {target}")
-        zero_degree = 0
-    elif isinstance(target, P1xP1):
-        zero_degree = (0, 0)
-    else:
+    elif not isinstance(target, P1xP1):
         raise ValueError(f"unsupported target {target!r}")
-    m = target.basis_size
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                value = gw_invariant(
-                    InvariantKey.from_classes(target, zero_degree, (i, j, k)))
-                if not value:
-                    continue
-                exps = [0] * m
-                for idx in (i, j, k):
-                    exps[idx] += 1
-                key = tuple(exps)
-                terms[key] = terms.get(key, Fraction(0)) + value / 6
-    return TruncatedSeries(m, 3, terms)
+    return TruncatedSeries(target.basis_size, 3, {
+        a: gw_invariant(InvariantKey(target, _zero_degree(target), a))
+        / prod(map(factorial, a))
+        for a in _exponent_vectors(target.basis_size, 3) if sum(a) == 3})
 
 
 def gw_potential_p1(order: int) -> TruncatedSeries:
@@ -94,6 +87,91 @@ def gw_potential_p1(order: int) -> TruncatedSeries:
     return TruncatedSeries(2, order, terms)
 
 
+def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
+                  count: Callable[[Degree, ExponentVector], int],
+                  keep: tuple[int, ...]) -> TruncatedSeries:
+    """Curve-class part of the derivative of the potential along ``idx``.
+
+    A series in the variables dual to the sorted basis indices ``keep``,
+    the others set to zero: the coefficient of x^a / a! is the sum over
+    beta != 0 of I_beta(h^a . h^idx), and ``count(beta, exps)`` gives
+    I_beta for exponents without fundamental or divisor classes.  Per beta
+    the strip takes the divisor factors of ``idx``, exp(<beta, x>) is
+    expanded once over the kept divisors, and the gate solves the exponent
+    of the last kept class from those of the classes between.  Each
+    coefficient is summed as an integer times a! and made a Fraction once.
+    """
+    idx_exps = exponents_from_classes(target, idx)
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    index, dim, _, pairings = _shape(target, _zero_degree(target))
+    # A class adds codim - 1 to (codimension sum - marks), which the gate
+    # fixes; only h^1 on P^1, which the strip keeps, adds 0 and is not solved.
+    weight = [target.codim(c) - 1 for c in range(target.basis_size)]
+    divisors = [c for c in keep if 1 <= c <= len(pairings)]
+    placed = [c for c in keep if c > len(pairings)]
+    top = weight[placed[-1]] if placed else 0
+    free = placed[:-1] if top else placed
+    head = (0,) if 0 in keep else ()
+    acc: dict[ExponentVector, int] = {}
+    total = 0
+    while not idx_exps[0]:  # the fundamental class kills every curve class
+        total += 1
+        gap = _vdim(index, dim, total, 0) - sum(weight[c] for c in idx)
+        if gap > top * order:
+            break
+        # A kept tail has degree >= gap / top, which leaves the divisors span.
+        span = order - (max(gap, 0) + top - 1) // top if top else order
+        betas = ([(d, total - d) for d in range(total + 1)]
+                 if isinstance(target, P1xP1) else [total])
+        for beta in betas:
+            pairing = _shape(target, beta)[3]
+            mult, base = _strip(idx_exps, pairing)
+            exp_table = [(head + u, sum(u), mult * prod(
+                pairing[c - 1] ** a for c, a in zip(divisors, u)))
+                for u in _exponent_vectors(len(divisors), span)]
+            for f in _exponent_vectors(len(free), order):
+                rest = gap - sum(weight[c] * a for c, a in zip(free, f))
+                if rest < 0 or (rest % top if top else rest):
+                    continue
+                tail = f + (rest // top,) if top else f
+                budget = order - sum(tail)
+                if budget < 0:
+                    continue
+                exps = list(base)
+                for c, a in zip(placed, tail):
+                    exps[c] += a
+                value = count(beta, tuple(exps))
+                for key_head, degree, num in exp_table:
+                    if value and num and degree <= budget:
+                        key = key_head + tail
+                        acc[key] = acc.get(key, 0) + value * num
+    return TruncatedSeries(len(keep), order, {
+        key: Fraction(num, prod(map(factorial, key)))
+        for key, num in acc.items()})
+
+
+def _with_constant(target: TargetSpace, ijk: tuple[int, ...],
+                   quantum: TruncatedSeries) -> TruncatedSeries:
+    """Phi_ijk: its quantum part plus the degree-zero constant I_0(ijk)."""
+    constant = gw_invariant(
+        InvariantKey.from_classes(target, _zero_degree(target), ijk))
+    return quantum + constant if constant else quantum
+
+
+def _wdvv_residual(target: TargetSpace,
+                   phi: Callable[[tuple[int, ...]], TruncatedSeries],
+                   i: int, j: int, k: int, l: int) -> TruncatedSeries:
+    """sum_e Phi_ij,e Phi_(m-1-e),kl - Phi_jk,e Phi_i,(m-1-e),l, where
+    ``phi`` maps a sorted index triple to Phi and runs once per triple."""
+    m = target.basis_size
+    phi = functools.cache(phi)
+    g = lambda *ijk: phi(tuple(sorted(ijk)))
+    terms = [g(i, j, e) * g(m - 1 - e, k, l) - g(j, k, e) * g(i, m - 1 - e, l)
+             for e in range(m)]
+    return sum(terms[1:], terms[0])
+
+
 def gamma_p2_reduced(i: int, j: int, k: int, order: int,
                      nd: NdSource | None = None) -> TruncatedSeries:
     """Reduced quantum structure constant of P^2, one variable.
@@ -106,24 +184,8 @@ def gamma_p2_reduced(i: int, j: int, k: int, order: int,
 
     Any index 0 yields the zero series.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    for idx in (i, j, k):
-        if idx not in (0, 1, 2):
-            raise ValueError(f"basis index {idx} out of range for P^2")
-    if 0 in (i, j, k):
-        return TruncatedSeries.zero(1, order)
-    nd = nd or n_d
-    ones = (i, j, k).count(1)
-    s = i + j + k
-    terms: dict[tuple[int], Fraction] = {}
-    d = 1
-    while 3 * d + 2 - s <= order:
-        n = 3 * d + 2 - s
-        if n >= 0:
-            terms[(n,)] = Fraction(d ** ones * nd(d), factorial(n))
-        d += 1
-    return TruncatedSeries(1, order, terms)
+    return _quantum_part(_P2, (i, j, k), order,
+                         lambda d, exps: (nd or n_d)(d), (2,))
 
 
 def quantum_potential_p2_reduced(order: int, nd: NdSource | None = None
@@ -135,8 +197,8 @@ def quantum_potential_p2_reduced(order: int, nd: NdSource | None = None
 
 def wdvv_residual_p2(order: int, nd: NdSource | None = None) -> TruncatedSeries:
     """G222 + G111*G122 - G112*G112, identically zero for the true counts."""
-    g = lambda i, j, k: gamma_p2_reduced(i, j, k, order, nd)
-    return g(2, 2, 2) + g(1, 1, 1) * g(1, 2, 2) - g(1, 1, 2) * g(1, 1, 2)
+    return _wdvv_residual(_P2, lambda ijk: _with_constant(
+        _P2, ijk, gamma_p2_reduced(*ijk, order, nd)), 1, 1, 2, 2)
 
 
 def quantum_potential_p1x1(order: int, nde: NdeSource | None = None
@@ -149,59 +211,23 @@ def quantum_potential_p1x1(order: int, nde: NdeSource | None = None
     the exponential because extracting one vertical rule class contributes
     a factor e and one horizontal rule class a factor d.
     """
-    return _gamma_p1x1(0, 0, 0, order, nde)
+    return _quantum_part(P1XP1, (), order,
+                         lambda beta, exps: (nde or n_de)(*beta), (1, 2, 3))
 
 
 def gamma_p1x1(i: int, j: int, k: int, order: int,
                nde: NdeSource | None = None) -> TruncatedSeries:
     """Third partial of the P1xP1 quantum potential with respect to
     x_i, x_j, x_k (indices in 1..3); an index 0 yields the zero series."""
-    for idx in (i, j, k):
-        if idx not in (0, 1, 2, 3):
-            raise ValueError(f"basis index {idx} out of range for P1xP1")
-    if 0 in (i, j, k):
-        return TruncatedSeries.zero(3, order)
-    ones = (i, j, k).count(1)
-    twos = (i, j, k).count(2)
-    threes = (i, j, k).count(3)
-    return _gamma_p1x1(ones, twos, threes, order, nde)
-
-
-def _gamma_p1x1(ones: int, twos: int, threes: int, order: int,
-                nde: NdeSource | None) -> TruncatedSeries:
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    nde = nde or n_de
-    terms: dict[tuple[int, int, int], Fraction] = {}
-    s = 1
-    while 2 * s - 1 - threes <= order:
-        p3 = 2 * s - 1 - threes
-        if p3 >= 0:
-            for d in range(s + 1):
-                e = s - d
-                weight = e ** ones * d ** twos * nde(d, e)
-                if not weight:
-                    continue
-                base = Fraction(weight, factorial(p3))
-                budget = order - p3
-                for u in range(budget + 1):
-                    for v in range(budget - u + 1):
-                        coeff = base * Fraction(
-                            e ** u * d ** v, factorial(u) * factorial(v))
-                        if not coeff:
-                            continue
-                        key = (u, v, p3)
-                        terms[key] = terms.get(key, Fraction(0)) + coeff
-        s += 1
-    return TruncatedSeries(3, order, terms)
+    return _quantum_part(P1XP1, (i, j, k), order,
+                         lambda beta, exps: (nde or n_de)(*beta), (1, 2, 3))
 
 
 def wdvv_residual_p1x1(order: int, nde: NdeSource | None = None
                        ) -> TruncatedSeries:
     """G333 + G112*G233 + G122*G133 - G123*G123 - G223*G113."""
-    g = lambda i, j, k: gamma_p1x1(i, j, k, order, nde)
-    return (g(3, 3, 3) + g(1, 1, 2) * g(2, 3, 3) + g(1, 2, 2) * g(1, 3, 3)
-            - g(1, 2, 3) * g(1, 2, 3) - g(2, 2, 3) * g(1, 1, 3))
+    return _wdvv_residual(P1XP1, lambda ijk: _with_constant(
+        P1XP1, ijk, gamma_p1x1(*ijk, order, nde)), 1, 2, 3, 3)
 
 
 _PHI_CACHE: dict[tuple, TruncatedSeries] = {}
@@ -211,31 +237,16 @@ def phi_ijk(target: TargetSpace, i: int, j: int, k: int,
             order: int) -> TruncatedSeries:
     """Structure constant Phi_ijk as a multivariate series.
 
-    Assembled coefficient by coefficient: the coefficient of x^a / a! is
-    the collected invariant I(h^a . h^i . h^j . h^k), so no derivative-
-    induced order loss occurs.
+    The coefficient of x^a / a! is the collected invariant
+    I(h^a . h^i . h^j . h^k), so no derivative-induced order loss occurs.
     """
-    m = target.basis_size
-    for idx in (i, j, k):
-        target.codim(idx)
     key = (target, tuple(sorted((i, j, k))), order)
-    cached = _PHI_CACHE.get(key)
-    if cached is not None:
-        return cached
-    terms: dict[ExponentVector, Fraction] = {}
-    for a in _exponent_vectors(m, order):
-        exps = list(a)
-        for idx in (i, j, k):
-            exps[idx] += 1
-        value = collected_invariant(target, tuple(exps))
-        if value:
-            denom = 1
-            for entry in a:
-                denom *= factorial(entry)
-            terms[a] = value / denom
-    result = TruncatedSeries(m, order, terms)
-    _PHI_CACHE[key] = result
-    return result
+    if key not in _PHI_CACHE:
+        _PHI_CACHE[key] = _with_constant(target, key[1], _quantum_part(
+            target, key[1], order, lambda beta, exps: as_integer(
+                gw_invariant(InvariantKey(target, beta, exps))),
+            tuple(range(target.basis_size))))
+    return _PHI_CACHE[key]
 
 
 def clear_caches() -> None:
@@ -245,24 +256,12 @@ def clear_caches() -> None:
 
 def wdvv_general_pr(r: int, i: int, j: int, k: int, l: int,
                     order: int) -> TruncatedSeries:
-    """Full multivariate WDVV residual for P^r at one index quadruple:
-
-        sum_{e+f=r} (Phi_ije Phi_fkl - Phi_jke Phi_ifl),
-
-    a series in x0..xr that vanishes identically.  Guarded to r in {2, 3};
-    the number of structure constants grows quickly with r and the two
-    surfaces of interest are covered by the dedicated residuals.
+    """Full multivariate WDVV residual for P^r at one index quadruple, over
+    ``phi_ijk``: a series in x0..xr that vanishes identically.  Guarded to
+    r in {2, 3}; the number of structure constants grows quickly with r.
     """
     if not 2 <= r <= 3:
         raise ValueError(f"supported range is 2 <= r <= 3, got r={r}")
     target = ProjectiveSpace(r)
-    for idx in (i, j, k, l):
-        target.codim(idx)
-    total = TruncatedSeries.zero(r + 1, order)
-    for e in range(r + 1):
-        f = r - e
-        total = total + (phi_ijk(target, i, j, e, order)
-                         * phi_ijk(target, f, k, l, order)
-                         - phi_ijk(target, j, k, e, order)
-                         * phi_ijk(target, i, f, l, order))
-    return total
+    return _wdvv_residual(target, lambda ijk: phi_ijk(target, *ijk, order),
+                          i, j, k, l)

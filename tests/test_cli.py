@@ -111,7 +111,14 @@ def test_wdvv_poisoned_cache_exits_1(tmp_path):
     result = run_cli("wdvv", "--target", "p2", "--order", "6",
                      env_extra={"GW_CACHE": str(cache)})
     assert result.returncode == 1
-    assert "NONZERO" in result.stderr
+    assert result.stderr.splitlines() == [
+        "verification failed: NONZERO first term 1/120·x^5"]
+    cache.write_text("nde:1,2\t2\n")
+    result = run_cli("wdvv", "--target", "p1xp1", "--order", "6",
+                     env_extra={"GW_CACHE": str(cache)})
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        "verification failed: NONZERO first term x3^2"]
 
 
 def test_potential():
@@ -122,6 +129,18 @@ def test_potential():
                      "--order", "3")
     assert result.stdout.strip() == \
         "1 + x1 + 1/2·x1^2 + 1/6·x1^3 + 1/2·x0^2·x1"
+    result = run_cli("potential", "--target", "p2", "--quantum",
+                     "--order", "4")
+    assert result.stdout.splitlines() == [
+        "G111: 1/2·x^2",
+        "G112: x + 1/6·x^4",
+        "G122: 1 + 1/3·x^3",
+        "G222: 1/2·x^2",
+    ]
+    result = run_cli("potential", "--target", "p1xp1", "--quantum",
+                     "--order", "3")
+    assert result.stdout.strip() == (
+        "2·x3 + 1/6·x3^3 + x2·x3 + 1/2·x2^2·x3 + x1·x3 + 1/2·x1^2·x3")
 
 
 def test_partitions_counts():
@@ -272,3 +291,29 @@ def test_internal_error_exits_3_and_leaves_the_cache_alone(
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: boom second line\n"
     assert not cache.exists()
+
+
+def test_public_exports_are_pinned():
+    # The names exported by the package root are a contract: refactors
+    # behind them keep this list byte-identical, order included.
+    import gwcalc
+    assert gwcalc.__all__ == [
+        "BigQuantumElement", "InvariantKey", "MarkSet", "P1XP1",
+        "P1xP1", "ProjectiveSpace", "Rational", "RingElement",
+        "TargetSpace", "TruncatedSeries", "WeightedPartition",
+        "as_integer", "bidegree_intersection", "big_qmul", "binomial",
+        "boundary_divisor_count_m0n", "classical_potential",
+        "collected_invariant", "count_labeled_configurations",
+        "cup_p1x1", "cup_pr", "dim_moduli", "dimension_admissible",
+        "enumerate_partitions", "exponents_from_classes", "factorial",
+        "gamma_p1x1", "gamma_p2_reduced", "gw_invariant", "gw_p1",
+        "gw_p1x1", "gw_potential_p1", "gw_pr", "genus_nodal_p2",
+        "genus_smooth_p1x1", "is_integer", "n_d", "n_d_raw", "n_de",
+        "n_de_raw", "parse_basis_class", "parse_series", "phi_ijk",
+        "quantum_potential_p1x1", "quantum_potential_p2_reduced",
+        "reduce_invariant", "required_points", "small_qmul",
+        "small_qmul_p1x1", "small_qmul_pr", "star_power",
+        "stratum_dimension", "wdvv_general_pr", "wdvv_residual_p1x1",
+        "wdvv_residual_p2",
+    ]
+    assert all(hasattr(gwcalc, name) for name in gwcalc.__all__)

@@ -208,6 +208,10 @@ def test_collected_invariant_p2():
     assert collected_invariant(P2, (0, 2, 8)) == 9 * n_d(3) == 108
     assert collected_invariant(P2, (5, 0, 0)) == 0
     assert collected_invariant(P2, (0, 0, 8)) == n_d(3)
+    # malformed vectors are rejected whether or not the gate solves a degree
+    for exps in ((0, -1, 4), (0, -1, 5), (0, 0), (0, 0, 8, 0)):
+        with pytest.raises(ValueError):
+            collected_invariant(P2, exps)
 
 
 def test_collected_invariant_p1x1():
@@ -216,6 +220,9 @@ def test_collected_invariant_p1x1():
     assert collected_invariant(P1XP1, (0, 0, 0, 5)) == \
         sum(n_de(d, 3 - d) for d in range(4)) == 2
     assert collected_invariant(P1XP1, (1, 1, 1, 0)) == 1  # degree (0,0)
+    for exps in ((0, 0, -1, 6), (0, 0, -1, 7), (0, 0, 5)):
+        with pytest.raises(ValueError):
+            collected_invariant(P1XP1, exps)
 
 
 def test_gw_invariant_dispatch():

@@ -128,6 +128,8 @@ def test_wdvv_residual_p1x1_sensitivity():
         bumped = lambda d, e: n_de(d, e) + 1 if (d, e) in target \
             else n_de(d, e)
         assert not wdvv_residual_p1x1(6, nde=bumped).is_zero(), wrong
+    exps, coeff = wdvv_residual_p1x1(6, nde=perturbed).leading_term()
+    assert exps == (0, 0, 4) and coeff == Fraction(1, 24)
 
 
 def test_phi_ijk_coefficient_extraction():
@@ -135,17 +137,26 @@ def test_phi_ijk_coefficient_extraction():
     # the three extra classes appended; checked for all |a| <= 4
     from gwcalc.potentials import _exponent_vectors
     order = 4
-    for (i, j, k) in [(1, 1, 2), (2, 2, 2), (0, 1, 1), (1, 2, 2)]:
-        phi = phi_ijk(P2, i, j, k, order)
-        for a in _exponent_vectors(3, order):
+    cases = [
+        (P1, (0, 0, 1)), (P1, (0, 1, 1)), (P1, (1, 1, 1)),
+        (P2, (1, 1, 2)), (P2, (2, 2, 2)), (P2, (0, 1, 1)), (P2, (1, 2, 2)),
+        (P3, (1, 2, 3)), (P3, (2, 2, 3)), (P3, (3, 3, 3)), (P3, (0, 1, 2)),
+        (P3, (1, 1, 1)),
+        (P1XP1, (1, 2, 3)), (P1XP1, (3, 3, 3)), (P1XP1, (1, 1, 3)),
+        (P1XP1, (0, 1, 2)), (P1XP1, (0, 3, 3)),
+    ]
+    for target, (i, j, k) in cases:
+        phi = phi_ijk(target, i, j, k, order)
+        for a in _exponent_vectors(target.basis_size, order):
             extended = list(a)
             for idx in (i, j, k):
                 extended[idx] += 1
-            expected = collected_invariant(P2, tuple(extended))
+            expected = collected_invariant(target, tuple(extended))
             denom = 1
             for entry in a:
                 denom *= factorial(entry)
-            assert phi.coefficient(a) == expected / denom, (i, j, k, a)
+            assert phi.coefficient(a) == expected / denom, \
+                (target, i, j, k, a)
 
 
 def test_phi_ijk_derivative_route():
@@ -185,6 +196,22 @@ def test_phi_112_matches_reduced_gamma():
             sliced[(exps[2],)] = coeff
     assert TruncatedSeries(1, order, sliced) == \
         gamma_p2_reduced(1, 1, 2, order)
+
+
+@pytest.mark.parametrize("target, order", [(P2, 5), (P1XP1, 4)],
+                         ids=["p2", "p1x1"])
+def test_wdvv_residual_vanishes_at_every_quadruple(target, order):
+    # the generic residual over the full multivariate structure constants,
+    # at all m^4 index quadruples; only (1,1,2,2) on P^2 and (1,2,3,3) on
+    # P1xP1 have dedicated one-identity residuals
+    import itertools
+    from gwcalc.potentials import _wdvv_residual
+    m = target.basis_size
+    phi = lambda ijk: phi_ijk(target, *ijk, order)
+    for quad in itertools.product(range(m), repeat=4):
+        residual = _wdvv_residual(target, phi, *quad)
+        assert residual.is_zero(), quad
+        assert (residual.nvars, residual.order) == (m, order)
 
 
 def test_wdvv_general_pr():
