@@ -25,6 +25,7 @@ take another count source, so that perturbed tables can be shown to fail.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from fractions import Fraction
 from math import prod
 from typing import Callable
@@ -95,15 +96,19 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
     A series in the variables dual to the sorted basis indices ``keep``,
     the others set to zero: the coefficient of x^a / a! is the sum over
     beta != 0 of I_beta(h^a . h^idx), and ``count(beta, exps)`` gives
-    I_beta for exponents without fundamental or divisor classes.  Per beta
-    the strip takes the divisor factors of ``idx``, exp(<beta, x>) is
-    expanded once over the kept divisors, and the gate solves the exponent
-    of the last kept class from those of the classes between.  Each
+    I_beta for exponents without fundamental or divisor classes.  The
+    exponent vectors are listed once per call.  Per beta the strip takes
+    the divisor factors of ``idx``, exp(<beta, x>) is expanded once over
+    the kept divisors from one row of pairing powers each, and the gate
+    solves the exponent of the last kept class from those of the classes
+    between.  An index 0 (the fundamental class) builds nothing.  Each
     coefficient is summed as an integer times a! and made a Fraction once.
     """
     idx_exps = exponents_from_classes(target, idx)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    if idx_exps[0]:  # the fundamental class kills every curve class
+        return TruncatedSeries.zero(len(keep), order)
     index, dim, _, pairings = _shape(target, _zero_degree(target))
     # A class adds codim - 1 to (codimension sum - marks), which the gate
     # fixes; only h^1 on P^1, which the strip keeps, adds 0 and is not solved.
@@ -113,9 +118,16 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
     top = weight[placed[-1]] if placed else 0
     free = placed[:-1] if top else placed
     head = (0,) if 0 in keep else ()
+    # The divisor exponent vectors in rising degree, as degrees, key heads
+    # and one column of exponents per kept divisor.
+    vectors = sorted(_exponent_vectors(len(divisors), order), key=sum)
+    degrees = [sum(u) for u in vectors]
+    heads = [head + u for u in vectors]
+    columns = list(zip(*vectors))
+    free_vectors = list(_exponent_vectors(len(free), order))
     acc: dict[ExponentVector, int] = {}
     total = 0
-    while not idx_exps[0]:  # the fundamental class kills every curve class
+    while True:
         total += 1
         gap = _vdim(index, dim, total, 0) - sum(weight[c] for c in idx)
         if gap > top * order:
@@ -127,10 +139,17 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
         for beta in betas:
             pairing = _shape(target, beta)[3]
             mult, base = _strip(idx_exps, pairing)
-            exp_table = [(head + u, sum(u), mult * prod(
-                pairing[c - 1] ** a for c, a in zip(divisors, u)))
-                for u in _exponent_vectors(len(divisors), span)]
-            for f in _exponent_vectors(len(free), order):
+            if not mult:
+                continue
+            # exp(<beta, x>) over the kept divisors up to degree span, times
+            # the strip factor, from one row of pairing powers per divisor.
+            nums = [mult] * bisect_right(degrees, span)
+            for c, column in zip(divisors, columns):
+                row = [pairing[c - 1] ** a for a in range(span + 1)]
+                nums = [num * row[a] for num, a in zip(nums, column)]
+            exp_table = [(degrees[v], heads[v], num)
+                         for v, num in enumerate(nums) if num]
+            for f in free_vectors:
                 rest = gap - sum(weight[c] * a for c, a in zip(free, f))
                 if rest < 0 or (rest % top if top else rest):
                     continue
@@ -142,10 +161,13 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
                 for c, a in zip(placed, tail):
                     exps[c] += a
                 value = count(beta, tuple(exps))
-                for key_head, degree, num in exp_table:
-                    if value and num and degree <= budget:
-                        key = key_head + tail
-                        acc[key] = acc.get(key, 0) + value * num
+                if not value:
+                    continue
+                for degree, key_head, num in exp_table:
+                    if degree > budget:
+                        break
+                    key = key_head + tail
+                    acc[key] = acc.get(key, 0) + value * num
     return TruncatedSeries(len(keep), order, {
         key: Fraction(num, prod(map(factorial, key)))
         for key, num in acc.items()})

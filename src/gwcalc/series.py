@@ -7,6 +7,14 @@ sums and products carry the minimum of the operand orders, and a partial
 derivative lowers the order by one.  Terms with zero coefficient or degree
 beyond the order are never stored.
 
+At the boundary (``terms``, ``coefficient``) every coefficient is a
+canonical ``Fraction``.  A product of two series runs on integers: each
+operand is scaled once to integer numerators over the lcm of its
+denominators, the numerators are convolved as plain ints in order of
+rising degree, and each result term is made one ``Fraction`` over the
+product of the two denominators.  The constructor checks outside input;
+results of the arithmetic are canonical by construction and skip it.
+
 Instances are immutable after construction; all operations return new
 series, so sharing between threads is safe.
 
@@ -19,6 +27,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import add, itemgetter
 from typing import Iterable, Mapping
 
 _DOT = "·"
@@ -57,6 +67,17 @@ class TruncatedSeries:
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("TruncatedSeries is immutable")
 
+    @classmethod
+    def _trusted(cls, nvars: int, order: int,
+                 terms: dict[Exponents, Fraction]) -> "TruncatedSeries":
+        """A series from terms that are already canonical: exponent tuples
+        of length nvars and degree <= order, nonzero Fraction coefficients."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "nvars", nvars)
+        object.__setattr__(series, "order", order)
+        object.__setattr__(series, "terms", terms)
+        return series
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -85,6 +106,8 @@ class TruncatedSeries:
         if len(key) != self.nvars:
             raise ValueError(f"exponent tuple {exps} does not have "
                              f"{self.nvars} entries")
+        if any(k < 0 for k in key):
+            raise ValueError(f"negative exponent in {exps}")
         if sum(key) > self.order:
             raise ValueError(
                 f"degree {sum(key)} exceeds the trusted order {self.order}")
@@ -119,46 +142,61 @@ class TruncatedSeries:
     def __add__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
             other = TruncatedSeries.constant(self.nvars, self.order, other)
+        elif not isinstance(other, TruncatedSeries):
+            return NotImplemented
         self._check_compatible(other)
         order = min(self.order, other.order)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return TruncatedSeries(self.nvars, order, terms)
+            if exps not in terms:
+                terms[exps] = coeff
+            elif value := terms[exps] + coeff:
+                terms[exps] = value
+            else:
+                del terms[exps]
+        if self.order != other.order:
+            terms = {e: c for e, c in terms.items() if sum(e) <= order}
+        return TruncatedSeries._trusted(self.nvars, order, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.nvars, self.order,
-                               {e: -c for e, c in self.terms.items()})
+        return TruncatedSeries._trusted(
+            self.nvars, self.order, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(self.nvars, self.order, other)
+        if not isinstance(other, (int, Fraction, TruncatedSeries)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "TruncatedSeries":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            return TruncatedSeries(
+            return TruncatedSeries._trusted(
                 self.nvars, self.order,
-                {e: c * scalar for e, c in self.terms.items()})
+                {e: c * other for e, c in self.terms.items()} if other else {})
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         self._check_compatible(other)
         order = min(self.order, other.order)
-        terms: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            da = sum(ea)
-            if da > order:
-                continue
-            for eb, cb in other.terms.items():
-                if da + sum(eb) > order:
-                    continue
-                key = tuple(a + b for a, b in zip(ea, eb))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return TruncatedSeries(self.nvars, order, terms)
+        den_a, rows_a = _scaled(self.terms)
+        den_b, rows_b = _scaled(other.terms)
+        acc: dict[Exponents, int] = {}
+        for da, ea, na in rows_a:
+            limit = order - da
+            for db, eb, nb in rows_b:
+                if db > limit:
+                    break
+                key = tuple(map(add, ea, eb))
+                acc[key] = acc.get(key, 0) + na * nb
+        den = den_a * den_b
+        return TruncatedSeries._trusted(
+            self.nvars, order,
+            {e: Fraction(num, den) for e, num in acc.items() if num})
 
     __rmul__ = __mul__
 
@@ -167,13 +205,20 @@ class TruncatedSeries:
         if order > self.order:
             raise ValueError(
                 f"cannot extend trusted order {self.order} to {order}")
-        return TruncatedSeries(self.nvars, order, self.terms)
+        if order < 0:
+            raise ValueError(f"truncation order must be >= 0, got {order}")
+        return TruncatedSeries._trusted(
+            self.nvars, order,
+            {e: c for e, c in self.terms.items() if sum(e) <= order})
 
     def partial_derivative(self, var: int) -> "TruncatedSeries":
-        """Formal d/dx_var; the trusted order drops by one."""
+        """Formal d/dx_var; the trusted order drops by one, so a series of
+        order 0 has no trusted derivative."""
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
-        order = max(self.order - 1, 0)
+        if not self.order:
+            raise ValueError("a series of trusted order 0 has no trusted "
+                             "derivative")
         terms: dict[Exponents, Fraction] = {}
         for exps, coeff in self.terms.items():
             k = exps[var]
@@ -181,14 +226,14 @@ class TruncatedSeries:
                 continue
             key = exps[:var] + (k - 1,) + exps[var + 1:]
             terms[key] = coeff * k
-        return TruncatedSeries(self.nvars, order, terms)
+        return TruncatedSeries._trusted(self.nvars, self.order - 1, terms)
 
     def substitute_zero(self, var: int) -> "TruncatedSeries":
         """Set x_var = 0, keeping the variable slot (order unchanged)."""
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
         terms = {e: c for e, c in self.terms.items() if e[var] == 0}
-        return TruncatedSeries(self.nvars, self.order, terms)
+        return TruncatedSeries._trusted(self.nvars, self.order, terms)
 
     # -- rendering -----------------------------------------------------
 
@@ -220,6 +265,15 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return (f"TruncatedSeries(nvars={self.nvars}, order={self.order}, "
                 f"{self.render()})")
+
+
+def _scaled(terms: Mapping[Exponents, Fraction]
+            ) -> tuple[int, list[tuple[int, Exponents, int]]]:
+    """The terms over one common denominator: that denominator (the lcm of
+    theirs) and rows (degree, exponents, numerator) sorted by degree."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, sorted(((sum(e), e, c.numerator * (den // c.denominator))
+                        for e, c in terms.items()), key=itemgetter(0))
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")

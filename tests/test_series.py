@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwcalc.exact import factorial
+from gwcalc.potentials import gamma_p1x1, phi_ijk
 from gwcalc.series import TruncatedSeries, parse_series
+from gwcalc.targets import P1XP1
 
 
 def exp_series(order):
@@ -121,3 +125,102 @@ def test_parse_round_trip():
         order = rng.randrange(0, 7)
         s = random_series(rng, nvars, order)
         assert parse_series(s.render(), nvars, order) == s
+
+
+# -- the integer product kernel against a reference Fraction convolution --
+
+def reference_product(a, b):
+    order = min(a.order, b.order)
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            if sum(key) <= order:
+                out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_sum(a, b, sign):
+    order = min(a.order, b.order)
+    out = {}
+    for s, terms in ((1, a.terms), (sign, b.terms)):
+        for e, c in terms.items():
+            if sum(e) <= order:
+                out[e] = out.get(e, Fraction(0)) + s * c
+    return {k: v for k, v in out.items() if v}
+
+
+COEFFICIENTS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6))
+
+
+@st.composite
+def series_pairs(draw):
+    nvars = draw(st.integers(1, 3))
+
+    def operand():
+        order = draw(st.integers(0, 8))
+        kind = draw(st.sampled_from(("terms", "terms", "constant", "empty")))
+        if kind == "constant":
+            return TruncatedSeries.constant(nvars, order, draw(COEFFICIENTS))
+        if kind == "empty":
+            return TruncatedSeries.zero(nvars, order)
+        exps = st.tuples(*[st.integers(0, order)] * nvars)
+        return TruncatedSeries(nvars, order, draw(
+            st.dictionaries(exps, COEFFICIENTS, max_size=12)))
+
+    return operand(), operand()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(series_pairs())
+def test_arithmetic_matches_reference_convolution(pair):
+    a, b = pair
+    order = min(a.order, b.order)
+    for result, expected in ((a * b, reference_product(a, b)),
+                             (a + b, reference_sum(a, b, 1)),
+                             (a - b, reference_sum(a, b, -1))):
+        assert result.order == order
+        assert result.terms == expected
+        assert all(type(c) is Fraction for c in result.terms.values())
+
+
+def test_cancelling_terms_are_dropped():
+    x = TruncatedSeries.variable(2, 4, 0)
+    y = TruncatedSeries.variable(2, 4, 1)
+    one = TruncatedSeries.constant(2, 4, 1)
+    product = (one + x * Fraction(1, 3) - y) * (one - x * Fraction(1, 3) - y)
+    assert product.terms == {(0, 0): 1, (0, 1): -2, (0, 2): 1,
+                             (2, 0): Fraction(-1, 9)}
+    assert (product - product).terms == {}
+
+
+@pytest.mark.parametrize("op", [
+    lambda s: s * 1.5, lambda s: 1.5 * s, lambda s: s + 1.5,
+    lambda s: 1.5 + s, lambda s: s - 1.5, lambda s: 1.5 - s,
+    lambda s: s * "x", lambda s: None + s],
+    ids=["mul", "rmul", "add", "radd", "sub", "rsub", "str", "none"])
+def test_foreign_operands_raise_type_error(op):
+    with pytest.raises(TypeError):
+        op(exp_series(3))
+
+
+def test_derivative_of_order_zero_series_is_refused():
+    s = TruncatedSeries(1, 0, {(0,): 2, (1,): 5})
+    with pytest.raises(ValueError):
+        s.partial_derivative(0)
+
+
+def test_coefficient_rejects_negative_exponents():
+    s = TruncatedSeries(2, 3, {(1, 0): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        s.coefficient((-1, 1))
+
+
+def test_fundamental_class_leaves_only_the_constant():
+    def never(d, e):
+        raise AssertionError("no count is read when an index is T0")
+
+    assert gamma_p1x1(0, 1, 2, 10, nde=never).is_zero()
+    assert phi_ijk(P1XP1, 0, 1, 2, 10) == TruncatedSeries.constant(4, 10, 1)
