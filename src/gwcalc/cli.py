@@ -330,12 +330,14 @@ def _cmd_partitions(args) -> dict:
         raise UsageError(f"--marks must be >= 4 to pin two pairs, "
                          f"got {args.marks}")
     marks = MarkSet.standard(args.marks)
-    parts = args.degree.split(",")
     try:
-        degree = int(parts[0]) if len(parts) == 1 else \
-            (int(parts[0]), int(parts[1]))
+        degree = tuple(map(int, args.degree.split(",")))
+        if len(degree) > 2:
+            raise ValueError
     except ValueError:
         raise UsageError(f"bad degree {args.degree!r}")
+    if len(degree) == 1:
+        degree = degree[0]
     try:
         left, right = args.pins.split(":")
         pin_a = tuple(s.strip() for s in left.split(","))

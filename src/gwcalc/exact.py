@@ -18,14 +18,6 @@ from fractions import Fraction
 
 Rational = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Canonical rational; raises ZeroDivisionError for a zero denominator."""
-    return Fraction(numerator, denominator)
-
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), with C(n, k) = 0 for k < 0 or k > n.
@@ -78,10 +70,3 @@ def as_integer(value: Fraction | int) -> int:
     if value.denominator != 1:
         raise ValueError(f"expected an integer value, got {value}")
     return value.numerator
-
-
-def inverse(value: Fraction) -> Fraction:
-    """Multiplicative inverse; raises ZeroDivisionError on zero."""
-    if value == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse")
-    return 1 / Fraction(value)

@@ -14,16 +14,15 @@ Each step is written once, on degrees and exponent tuples:
    with the degree: d per h^1 on P^r, e per T_1 and d per T_2 on P1 x P1.
 
 After these steps a P1 x P1 invariant consists of point classes only and
-equals the curve count N_(d,e).  For P^r with r >= 2 the remaining
-invariants are computed by the reconstruction recursion: the smallest
-remaining class h^c is written as h^1 u h^(c-1), those two factors are
-placed on two extra marks, and the resulting pair of equivalent boundary
-divisors is expanded by the splitting formula.  The unknown invariant
-appears in the expansion exactly once with coefficient one.
-
-P^1 keeps its closed form (``gw_p1``), and the strip leaves h^1 in place
-there: this package sets I_1() = 0 on P^1 but I_1(h^1) = 1, so the divisor
-axiom, which would equate the two, is not applied.
+equals the curve count N_(d,e).  On P^r the remaining invariants are
+computed by the reconstruction recursion: the smallest remaining class h^c
+is written as h^1 u h^(c-1), those two factors are placed on two extra
+marks, and the resulting pair of equivalent boundary divisors is expanded
+by the splitting formula.  The unknown invariant appears in the expansion
+exactly once with coefficient one.  On P^1 nothing remains after the
+strip: in positive degree the gate admits degree one only, where the
+space of unmarked maps is one point, the identity map.  So I_1() = 1, and
+the non-zero values are I_0(h0^2 h1) = 1 and I_1(h1^n) = 1 for n >= 0.
 
 All values are integers; the public functions return them as ``Fraction``
 since the surrounding series machinery works over the rationals.  Memo
@@ -85,8 +84,7 @@ def _shape(target: TargetSpace, degree: Degree
     if isinstance(target, P1xP1):
         d, e = degree
         return 2, 2, d + e, (e, d)
-    r = target.r
-    return r + 1, r, degree, (degree,) if r >= 2 else ()
+    return target.r + 1, target.r, degree, (degree,)
 
 
 def dim_moduli(target: TargetSpace, degree: Degree, n: int) -> int:
@@ -119,12 +117,12 @@ def reduce_invariant(key: InvariantKey) -> tuple[int, InvariantKey]:
     """Strip fundamental-class and divisor-class inputs.
 
     Returns (multiplier, reduced key) with the reduced key carrying no
-    fundamental class and no divisor class (h^1 stays on P^1).  A
-    fundamental class forces multiplier 0 in positive degree; a divisor
-    class contributes one factor of the matching degree component per
-    occurrence, so a P1 x P1 rule class whose matching component is zero
-    gives multiplier 0.  Degree-zero keys are returned untouched: their
-    three-point evaluation handles low codimensions directly.
+    fundamental class and no divisor class.  A fundamental class forces
+    multiplier 0 in positive degree; a divisor class contributes one
+    factor of the matching degree component per occurrence, so a P1 x P1
+    rule class whose matching component is zero gives multiplier 0.
+    Degree-zero keys are returned untouched: their three-point evaluation
+    handles low codimensions directly.
     """
     _, _, total, pairings = _shape(key.target, key.degree)
     if not total:
@@ -136,18 +134,13 @@ def reduce_invariant(key: InvariantKey) -> tuple[int, InvariantKey]:
 def gw_p1(key: InvariantKey) -> Fraction:
     """All genus-0 invariants of P^1.
 
-    The complete list of non-zero values is I_0(h1.h0.h0) = 1 and
-    I_1(h1^n) = 1 for n >= 1; everything else vanishes.
+    The complete list of non-zero values is I_0(h0.h0.h1) = 1 and
+    I_1(h1^n) = 1 for n >= 0; everything else vanishes.
     """
     target = key.target
     if not (isinstance(target, ProjectiveSpace) and target.r == 1):
         raise ValueError(f"gw_p1 expects target P^1, got {target}")
-    a0, a1 = key.exponents
-    if key.degree == 0 and a0 == 2 and a1 == 1:
-        return Fraction(1)
-    if key.degree == 1 and a0 == 0 and a1 >= 1:
-        return Fraction(1)
-    return Fraction(0)
+    return Fraction(_gw_pr_int(1, key.degree, key.exponents))
 
 
 def gw_pr(key: InvariantKey) -> Fraction:
@@ -167,7 +160,8 @@ def _gw_pr_int(r: int, d: int, exps: ExponentVector) -> int:
     if not mult:
         return 0
     if sum(exps) < 3:
-        # The gate leaves only the line through two points, I_1(h^r.h^r) = 1.
+        # The gate leaves degree one only: the line through two points,
+        # I_1(h^r.h^r) = 1, or on P^1 the identity map, I_1() = 1.
         return mult
     cache_key = (r, d, exps)
     cached = _PR_CACHE.get(cache_key)
@@ -287,9 +281,7 @@ def gw_invariant(key: InvariantKey) -> Fraction:
     target = key.target
     if isinstance(target, P1xP1):
         return gw_p1x1(key)
-    if target.r == 1:
-        return gw_p1(key)
-    return gw_pr(key)
+    return Fraction(_gw_pr_int(target.r, key.degree, key.exponents))
 
 
 def collected_invariant(target: TargetSpace, exponents: ExponentVector) -> Fraction:

@@ -77,7 +77,10 @@ def classical_potential(target: TargetSpace) -> TruncatedSeries:
 
 
 def gw_potential_p1(order: int) -> TruncatedSeries:
-    """Full potential of P^1 in x0, x1: x0^2 x1 / 2 + exp(x1), truncated."""
+    """Full potential of P^1 in x0, x1: x0^2 x1 / 2 + exp(x1), truncated.
+
+    A closed form, independent of the invariant engine: the coefficient of
+    x^a / a! is ``collected_invariant(ProjectiveSpace(1), a)``."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     terms: dict[tuple[int, int], Fraction] = {}
@@ -110,13 +113,12 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
     if idx_exps[0]:  # the fundamental class kills every curve class
         return TruncatedSeries.zero(len(keep), order)
     index, dim, _, pairings = _shape(target, _zero_degree(target))
-    # A class adds codim - 1 to (codimension sum - marks), which the gate
-    # fixes; only h^1 on P^1, which the strip keeps, adds 0 and is not solved.
+    # The gate fixes (codimension sum - marks); each class adds codim - 1.
     weight = [target.codim(c) - 1 for c in range(target.basis_size)]
     divisors = [c for c in keep if 1 <= c <= len(pairings)]
     placed = [c for c in keep if c > len(pairings)]
     top = weight[placed[-1]] if placed else 0
-    free = placed[:-1] if top else placed
+    free = placed[:-1]
     head = (0,) if 0 in keep else ()
     # The divisor exponent vectors in rising degree, as degrees, key heads
     # and one column of exponents per kept divisor.

@@ -160,6 +160,15 @@ def test_partitions_json_listing():
         "A": ["m1", "m2"], "B": ["p1", "p2"], "dA": 0, "dB": 0}}]
 
 
+def test_partitions_bad_degree_exits_2():
+    # A degree has one component, or two on P1xP1; a third is not dropped.
+    for degree in ("1,2,3", "x", "1,"):
+        result = run_cli("partitions", "--marks", "4", "--degree", degree,
+                         "--pins", "m1,m2:p1,p2", "--count")
+        assert result.returncode == 2, degree
+        assert result.stdout == ""
+
+
 def test_json_outputs_validate_against_schema():
     invocations = [
         ("nd", "--d", "5"),

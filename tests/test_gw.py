@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import factorial, prod
 
 import pytest
 
 import gwcalc.gw as gw_module
 from gwcalc.gw import (collected_invariant, dim_moduli, dimension_admissible,
                        gw_invariant, gw_p1, gw_p1x1, gw_pr, reduce_invariant)
+from gwcalc.potentials import gw_potential_p1
 from gwcalc.surfaces import n_d, n_de
 from gwcalc.targets import InvariantKey, P1XP1, ProjectiveSpace
 
@@ -71,7 +73,7 @@ def test_gw_p1_nonzero_families():
     P1 = ProjectiveSpace(1)
     assert gw_p1(key(P1, 0, [1, 0, 0])) == 1
     assert gw_p1(key(P1, 1, [1] * 7)) == 1
-    for n in range(1, 12):
+    for n in range(0, 12):
         assert gw_p1(key(P1, 1, [1] * n)) == 1
 
 
@@ -87,7 +89,7 @@ def test_gw_p1_zero_elsewhere():
         a1 = rng.randrange(0, 10)
         if d == 0 and a0 == 2 and a1 == 1:
             continue
-        if d == 1 and a0 == 0 and a1 >= 1:
+        if d == 1 and a0 == 0:
             continue
         assert gw_p1(InvariantKey(P1, d, (a0, a1))) == 0
         hits += 1
@@ -108,6 +110,17 @@ def test_gw_pr_three_point_examples():
 def test_gw_pr_lines_meeting_four_lines():
     # classical count of lines in P^3 incident to four general lines
     assert gw_pr(key(P3, 1, [2, 2, 2, 2])) == 2
+
+
+def test_p3_literature_counts():
+    # Rational curves of degree d = 1..5 in P^3 through 4d general lines
+    # and through 2d general points (Kontsevich-Manin 1994; Di
+    # Francesco-Itzykson 1995).
+    lines = [2, 92, 80160, 383306880, 6089786376960]
+    points = [1, 0, 1, 4, 105]
+    for d in range(1, 6):
+        assert gw_pr(key(P3, d, [2] * (4 * d))) == lines[d - 1], d
+        assert gw_pr(key(P3, d, [3] * (2 * d))) == points[d - 1], d
 
 
 def test_gw_pr_three_point_sweep():
@@ -298,12 +311,30 @@ def test_reduction_sweep():
             assert gw_invariant(k) == mult * value, k
             checked += 1
     assert checked > 500
-    # P^1 keeps h1: its convention I_1() = 0 while I_1(h1) = 1 does not
-    # follow the divisor axiom, so only the fundamental class is stripped.
+    # P^1 takes the same strip: each h1 gives a factor d, down to I_1() = 1.
     P1 = ProjectiveSpace(1)
+    base = InvariantKey(P1, 1, (0, 0))
     for a0, a1 in product(range(3), range(4)):
         k = InvariantKey(P1, 1, (a0, a1))
-        kept = InvariantKey(P1, 1, (0, a1))
         mult = 0 if a0 else 1
-        assert reduce_invariant(k) == (mult, kept)
-        assert gw_invariant(k) == mult * gw_invariant(kept)
+        assert reduce_invariant(k) == (mult, base)
+        assert gw_invariant(k) == mult * gw_invariant(base) == mult
+
+
+def test_p1_invariants_are_the_potential_coefficients():
+    # gw_potential_p1 is the closed form x0^2 x1 / 2 + exp(x1); the
+    # collected invariant I(h^a) is a! times its coefficient of x^a.
+    P1 = ProjectiveSpace(1)
+    order = 12
+    potential = gw_potential_p1(order)
+    for a in product(range(order + 1), repeat=2):
+        if sum(a) <= order:
+            expected = potential.coefficient(a) * prod(map(factorial, a))
+            assert collected_invariant(P1, a) == expected, a
+    # Degree-1 maps P^1 -> P^1 without marks form one point, the identity.
+    empty = InvariantKey(P1, 1, (0, 0))
+    assert gw_invariant(empty) == gw_p1(empty) == 1
+    # Divisor axiom in degree 1: each h1 contributes <beta, h1> = 1.
+    for n in range(8):
+        assert gw_p1(InvariantKey(P1, 1, (0, n + 1))) == \
+            gw_p1(InvariantKey(P1, 1, (0, n)))
