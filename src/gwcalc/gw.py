@@ -1,7 +1,8 @@
 """Genus-0 Gromov-Witten invariants of P^r and P1 x P1.
 
-Every invariant takes the same path (Kontsevich-Manin 1994, section 2).
-Each step is written once, on degrees and exponent tuples:
+Every invariant takes the same path at the public entry (Kontsevich-Manin
+1994, section 2).  Each step is written once, on degrees and exponent
+tuples:
 
 1. dimension gate (``_vdim``): the invariant vanishes unless the input
    codimensions sum to c1(beta) + dim X + n - 3, the dimension of the
@@ -13,29 +14,30 @@ Each step is written once, on degrees and exponent tuples:
    kills the invariant, and each divisor class is traded for its pairing
    with the degree: d per h^1 on P^r, e per T_1 and d per T_2 on P1 x P1.
 
-After these steps a P1 x P1 invariant consists of point classes only and
-equals the curve count N_(d,e).  On P^r the remaining invariants are
-computed by the reconstruction recursion: the smallest remaining class h^c
-is written as h^1 u h^(c-1), those two factors are placed on two extra
-marks, and the resulting pair of equivalent boundary divisors is expanded
-by the splitting formula.  The unknown invariant appears in the expansion
-exactly once with coefficient one.  On P^1 nothing remains after the
-strip: in positive degree the gate admits degree one only, where the
-space of unmarked maps is one point, the identity map.  So I_1() = 1, and
-the non-zero values are I_0(h0^2 h1) = 1 and I_1(h1^n) = 1 for n >= 0.
+After these steps both surfaces read their curve-count tables: the gate
+leaves 2(d+e) - 1 point classes on P1 x P1, where the value is N_(d,e),
+and 3d - 1 on P^2, where it is N_d.  On P^1 it leaves degree one only,
+the identity map: I_1() = 1.  On P^r, r >= 3, the reconstruction
+recursion (``_reconstruct``) expands a pair of equivalent boundary
+divisors by the splitting formula, where the unknown appears once with
+coefficient one.  The gate is checked at the entry only: in each split it
+fixes the one live degree and gluing class of each side, so a side is
+reduced by arithmetic alone (``_resolve``).  The recursion runs on an
+explicit stack of generator frames (``_reconstructed``), so its depth is
+bounded by memory, not by the interpreter's recursion limit.
 
 All values are integers; the public functions return them as ``Fraction``
-since the surrounding series machinery works over the rationals.  Memo
-tables are keyed by fully reduced keys, are write-once, and hold values
+since the surrounding series machinery works over the rationals.  The
+memo is keyed by stripped keys, is write-once, and holds values
 independent of evaluation order, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-from .exact import binomial
-from .surfaces import n_de
+from .surfaces import n_d, n_de
 from .targets import (P1XP1, Degree, ExponentVector, InvariantKey, P1xP1,
                       ProjectiveSpace, TargetSpace, total_codim,
                       validate_degree)
@@ -68,8 +70,7 @@ def _strip(exps: ExponentVector, pairings: tuple[int, ...]
     ``pairings`` holds <beta, D> for the divisor classes at basis indices
     1, 2, ...  Returns (multiplier, exponents with index 0 and those
     divisors removed).  A divisor with zero pairing gives multiplier 0: a
-    curve missing that component of its bidegree is disjoint from a generic
-    rule of the same family.
+    curve missing that part of its bidegree misses a generic such rule.
     """
     k = len(pairings) + 1
     mult = 0 if exps[0] else 1
@@ -117,10 +118,7 @@ def reduce_invariant(key: InvariantKey) -> tuple[int, InvariantKey]:
     """Strip fundamental-class and divisor-class inputs.
 
     Returns (multiplier, reduced key) with the reduced key carrying no
-    fundamental class and no divisor class.  A fundamental class forces
-    multiplier 0 in positive degree; a divisor class contributes one
-    factor of the matching degree component per occurrence, so a P1 x P1
-    rule class whose matching component is zero gives multiplier 0.
+    fundamental class and no divisor class, as ``_strip`` computes them.
     Degree-zero keys are returned untouched: their three-point evaluation
     handles low codimensions directly.
     """
@@ -132,11 +130,8 @@ def reduce_invariant(key: InvariantKey) -> tuple[int, InvariantKey]:
 
 
 def gw_p1(key: InvariantKey) -> Fraction:
-    """All genus-0 invariants of P^1.
-
-    The complete list of non-zero values is I_0(h0.h0.h1) = 1 and
-    I_1(h1^n) = 1 for n >= 0; everything else vanishes.
-    """
+    """All genus-0 invariants of P^1: I_0(h0.h0.h1) = 1, I_1(h1^n) = 1 for
+    n >= 0, and 0 elsewhere."""
     target = key.target
     if not (isinstance(target, ProjectiveSpace) and target.r == 1):
         raise ValueError(f"gw_p1 expects target P^1, got {target}")
@@ -144,7 +139,8 @@ def gw_p1(key: InvariantKey) -> Fraction:
 
 
 def gw_pr(key: InvariantKey) -> Fraction:
-    """Genus-0 invariant of P^r, r >= 2, via the reconstruction recursion."""
+    """Genus-0 invariant of P^r, r >= 2: mult * N_d on P^2, the
+    reconstruction recursion on P^3 and up."""
     target = key.target
     if not (isinstance(target, ProjectiveSpace) and target.r >= 2):
         raise ValueError(f"gw_pr expects target P^r with r >= 2, got {target}")
@@ -157,22 +153,36 @@ def _gw_pr_int(r: int, d: int, exps: ExponentVector) -> int:
     if d == 0:
         return _degree_zero(exps)
     mult, exps = _strip(exps, (d,))
-    if not mult:
-        return 0
-    if sum(exps) < 3:
-        # The gate leaves degree one only: the line through two points,
-        # I_1(h^r.h^r) = 1, or on P^1 the identity map, I_1() = 1.
-        return mult
-    cache_key = (r, d, exps)
-    cached = _PR_CACHE.get(cache_key)
-    if cached is None:
-        cached = _reconstruct(r, d, exps)
-        _PR_CACHE[cache_key] = cached
-    return mult * cached
+    if not mult or r == 2:
+        # The gate leaves exactly 3d - 1 point classes on P^2.
+        return mult and mult * n_d(d)
+    value, key = _resolve(r, d, exps, ())
+    return mult * value * (_reconstructed(key) if key else 1)
 
 
-def _reconstruct(r: int, d: int, exps: ExponentVector) -> int:
-    """Isolate I_d(exps) from the boundary-divisor balance equation.
+def _reconstructed(key: tuple[int, int, ExponentVector]) -> int:
+    """The invariant of a stripped key (r, d, exps) with at least three marks.
+    A frame holds a key and its ``_reconstruct`` generator; a side key the
+    generator yields gets a frame of its own, and a finished frame writes
+    its value to the memo and sends it to the frame below."""
+    stack = [(key, _reconstruct(*key))]
+    value = None
+    while stack:
+        key, frame = stack[-1]
+        try:
+            child = frame.send(value)
+        except StopIteration as done:
+            stack.pop()
+            _PR_CACHE[key] = value = done.value
+        else:
+            stack.append((child, _reconstruct(*child)))
+            value = None
+    return value
+
+
+def _reconstruct(r: int, d: int, exps: ExponentVector):
+    """Isolate I_d(exps) from the boundary-divisor balance equation: a
+    generator that yields each side key the memo lacks and is sent its value.
 
     All classes here have codimension >= 2, d >= 1, n >= 3.  Write the
     smallest class h^c as h^1 u h^(c-1) and put the two factors on marks
@@ -187,68 +197,64 @@ def _reconstruct(r: int, d: int, exps: ExponentVector) -> int:
             I_dA(h^1.h^b1.S.h^i) I_dB(h^(c-1).h^b2.S'.h^j)
 
     where S runs over sub-multisets of the free classes (with binomial
-    multiplicity) and S' is the complement.  On the left the slot
-    dA = 0, S empty forces i = r - c, and its factor I_0(h^1.h^(c-1).h^(r-c))
-    equals one, so that term *is* the unknown invariant; every other slot
-    only involves invariants of lower degree, lower minimal codimension
-    or fewer marks.
+    multiplicity) and S' is the complement.  With w = sum (k-1) s_k over
+    S, the A-side gate reads (r+1) dA + r = m + w + i, with m = c on the
+    left and b1 + 1 on the right, so divmod(w + m, r + 1) = (dA, j) is the
+    one live slot of each side.  On the left S empty forces dA = 0 and
+    i = r - c, and its factor I_0(h^1.h^(c-1).h^(r-c)) equals one, so that
+    term *is* the unknown invariant; every other term only involves
+    invariants of lower degree, lower minimal codimension or fewer marks.
     """
-    c = min(i for i in range(2, r + 1) if exps[i])
-    rest = list(exps)
-    rest[c] -= 1
-    b1 = max(i for i in range(2, r + 1) if rest[i])
-    rest[b1] -= 1
-    b2 = max(i for i in range(2, r + 1) if rest[i])
-    rest[b2] -= 1
-    free = tuple(rest)
-    splits = [(sub, tuple(f - s for f, s in zip(free, sub)), ways, sum(sub),
-               sum(i * a for i, a in enumerate(sub)))
-              for sub, ways in _submultisets(free)]
-
+    c, *_, b2, b1 = [i for i in range(2, r + 1) for _ in range(exps[i])]
+    free = [a - (i == c) - (i == b1) - (i == b2) for i, a in enumerate(exps)]
+    splits = [((), (), 1, 0)]  # (S, S', labeled mark subsets, w)
+    for k, count in enumerate(free):
+        splits = [(sub + (s,), comp + (count - s,), ways * comb(count, s),
+                   w + (k - 1) * s)
+                  for sub, comp, ways, w in splits for s in range(count + 1)]
+    # (x, y, sign): A holds h^1.h^x, B holds h^y.h^b2, the left side counts -1
+    both = ((c - 1, b1, -1), (b1, c - 1, 1))
     total = 0
-    for da in range(d + 1):
-        db = d - da
-        # The A-side gate forces its gluing class h^i; the base marks carry
-        # codimension 1 + (c-1) on the left and 1 + b1 on the right.
-        dim_a = _vdim(r + 1, r, da, 3)
-        for sub, comp, ways, k, sub_codim in splits:
-            lhs = 0
-            if da or k:
-                i = dim_a + k - c - sub_codim
-                if 0 <= i <= r:
-                    fa = _gw_side(r, da, sub, (1, c - 1, i))
-                    if fa:
-                        fb = _gw_side(r, db, comp, (b1, b2, r - i))
-                        lhs = fa * fb
-            i = dim_a + k - 1 - b1 - sub_codim
-            rhs = 0
-            if 0 <= i <= r:
-                fa = _gw_side(r, da, sub, (1, b1, i))
-                if fa:
-                    fb = _gw_side(r, db, comp, (c - 1, b2, r - i))
-                    rhs = fa * fb
-            if lhs or rhs:
-                total += ways * (rhs - lhs)
+    for sub, comp, ways, w in splits:
+        for x, y, sign in both if w else both[1:]:
+            da, j = divmod(w + x + 1, r + 1)
+            if da > d:
+                continue
+            fa, key = _resolve(r, da, sub, (1, x, r - j))
+            if key:
+                fa *= yield key
+            if fa:
+                fb, key = _resolve(r, d - da, comp, (y, b2, j))
+                if key:
+                    fb *= yield key
+                total += sign * ways * fa * fb
     return total
 
 
-def _gw_side(r: int, d: int, base: ExponentVector, extra: tuple[int, ...]) -> int:
+def _resolve(r: int, d: int, base: ExponentVector, marks: tuple[int, ...]
+             ) -> tuple[int, tuple | None]:
+    """(value, None), or (multiplier, stripped key) when the memo lacks
+    the key, for ``base`` with ``marks`` added: a key that passed the gate
+    with its h^0 and h^1 classes on ``marks`` only.  In degree zero just
+    the marks may remain, h^0 gives 0 and each h^1 a factor d.  Fewer than
+    three marks leave degree one only, the line through two points or on
+    P^1 the identity map, where the invariant is one."""
+    if not d:
+        return int(not any(base)), None
     exps = list(base)
-    for idx in extra:
-        exps[idx] += 1
-    return _gw_pr_int(r, d, tuple(exps))
-
-
-def _submultisets(exps: ExponentVector):
-    """Yield (sub-exponent-vector, number of labeled mark subsets)."""
-    out: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    for count in exps:
-        nxt = []
-        for prefix, ways in out:
-            for take in range(count + 1):
-                nxt.append((prefix + (take,), ways * binomial(count, take)))
-        out = nxt
-    return out
+    mult = 1
+    for m in marks:
+        if m > 1:
+            exps[m] += 1
+        elif m:
+            mult *= d
+        else:
+            return 0, None
+    if sum(exps) < 3:
+        return mult, None
+    key = (r, d, tuple(exps))
+    value = _PR_CACHE.get(key)
+    return (mult, key) if value is None else (mult * value, None)
 
 
 def _gw_p1x1_int(d: int, e: int, exps: ExponentVector) -> int:
@@ -263,14 +269,8 @@ def _gw_p1x1_int(d: int, e: int, exps: ExponentVector) -> int:
 
 
 def gw_p1x1(key: InvariantKey) -> Fraction:
-    """Genus-0 invariant of P1 x P1.
-
-    On a surface every basis class is the fundamental class, a divisor or
-    the point class, so the reductions are exhaustive: after stripping
-    T_0, T_1, T_2 the key holds only point classes and the dimension gate
-    pins their number to 2(d+e) - 1, where the value is the curve count
-    N_(d,e).  No separate splitting recursion is required.
-    """
+    """Genus-0 invariant of P1 x P1.  On a surface the strip is exhaustive:
+    only point classes remain, and the value is mult * N_(d,e)."""
     if not isinstance(key.target, P1xP1):
         raise ValueError(f"gw_p1x1 expects target P1xP1, got {key.target}")
     return Fraction(_gw_p1x1_int(*key.degree, key.exponents))

@@ -79,10 +79,10 @@ def test_criterion_03_symmetry_sweep():
 def test_criterion_04_gw_cross_oracle():
     _clear_all()
     started = time.monotonic()
-    for d in range(1, 5):
-        key = InvariantKey.from_classes(
-            ProjectiveSpace(2), d, [2] * (3 * d - 1))
-        assert gw_pr(key) == n_d(d), d
+    # Public gw_pr reads N_d on P^2, so drive the reconstruction engine
+    # itself on the stripped P^2 keys h2^(3d-1).
+    for d in range(2, 9):
+        assert gw_module._reconstructed((2, d, (0, 0, 3 * d - 1))) == n_d(d), d
     for total in range(1, 5):
         for d in range(total + 1):
             e = total - d

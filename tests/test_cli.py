@@ -257,6 +257,16 @@ def test_nd_prints_counts_past_the_digit_limit(capsys, monkeypatch,
     assert int(text) == n_d(600)
 
 
+def test_gw_on_p2_prints_the_plane_count_at_high_degree(
+        capsys, monkeypatch, restore_int_str_limit):
+    monkeypatch.delenv("GW_CACHE", raising=False)
+    assert main(["gw", "--target", "p2", "--degree", "400",
+                 "--classes", "h2:1199"]) == 0
+    text = capsys.readouterr().out
+    assert main(["nd", "--d", "400"]) == 0
+    assert text == capsys.readouterr().out
+
+
 def test_cache_round_trips_counts_past_the_digit_limit(tmp_path,
                                                        restore_int_str_limit):
     if hasattr(sys, "set_int_max_str_digits"):

@@ -1,7 +1,8 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -206,7 +207,7 @@ def test_permutation_invariance():
 
 
 def test_memoization_transparency():
-    cold_keys = [key(P2, 4, [2] * 11), key(P3, 2, [2, 2, 3, 3, 3])]
+    cold_keys = [key(P3, 4, [2] * 16), key(P3, 2, [2, 2, 3, 3, 3])]
     gw_module.clear_caches()
     cold = [gw_pr(k) for k in cold_keys]
     warm = [gw_pr(k) for k in cold_keys]
@@ -272,17 +273,23 @@ def test_dimension_gate_random_p1x1():
         checked += 1
 
 
+def stripped_admissible_pr(r, d):
+    """Exponent vectors of P^r with classes of codimension >= 2 only that
+    pass the gate in degree d >= 1: the marks' codimensions minus one add
+    up to (r+1)d + r - 3."""
+    excess = (r + 1) * d + r - 3
+    for counts in product(range(excess + 1), repeat=r - 1):
+        if sum(c * a for c, a in enumerate(counts, 1)) == excess:
+            yield (0, 0) + counts
+
+
 def stripped_admissible_keys():
     """Admissible keys with no fundamental or divisor class: P^2-P^4 in
     degree 1-3, and P1xP1 with 1 <= d + e <= 3."""
     for r in range(2, 5):
         for d in range(1, 4):
-            # The gate on classes of codimension >= 2 alone: the marks'
-            # codimensions minus one add up to (r+1)d + r - 3.
-            excess = (r + 1) * d + r - 3
-            for counts in product(range(excess + 1), repeat=r - 1):
-                if sum(c * a for c, a in enumerate(counts, 1)) == excess:
-                    yield InvariantKey(ProjectiveSpace(r), d, (0, 0) + counts)
+            for exps in stripped_admissible_pr(r, d):
+                yield InvariantKey(ProjectiveSpace(r), d, exps)
     for d, e in product(range(4), repeat=2):
         if 1 <= d + e <= 3:
             yield InvariantKey(P1XP1, (d, e), (0, 0, 0, 2 * (d + e) - 1))
@@ -338,3 +345,87 @@ def test_p1_invariants_are_the_potential_coefficients():
     for n in range(8):
         assert gw_p1(InvariantKey(P1, 1, (0, n + 1))) == \
             gw_p1(InvariantKey(P1, 1, (0, n)))
+
+
+def reference_invariant(r, d, exps, memo):
+    """I_d(exps) on P^r without the engine's shortcuts: every key takes the
+    gate, the degree-zero rule and the strip, and the reconstruction scans
+    every degree split dA = 0..d and every gluing class i = 0..r."""
+    codim = sum(i * a for i, a in enumerate(exps))
+    if codim != (r + 1) * d + r + sum(exps) - 3:
+        return 0
+    if d == 0:
+        return int(sum(exps) == 3)
+    if exps[0]:
+        return 0
+    mult, exps = d ** exps[1], (0, 0) + tuple(exps[2:])
+    if sum(exps) < 3:
+        return mult
+    if (d, exps) not in memo:
+        classes = [i for i, a in enumerate(exps) for _ in range(a)]
+        c, b2, b1 = classes[0], classes[-2], classes[-1]
+        free = list(exps)
+        for i in (c, b1, b2):
+            free[i] -= 1
+
+        def side(degree, base, *marks):
+            v = list(base)
+            for i in marks:
+                v[i] += 1
+            return reference_invariant(r, degree, tuple(v), memo)
+
+        total = 0
+        for sub in product(*(range(a + 1) for a in free)):
+            ways = prod(comb(a, s) for a, s in zip(free, sub))
+            rest = tuple(a - s for a, s in zip(free, sub))
+            for da, i in product(range(d + 1), range(r + 1)):
+                db = d - da
+                if da or any(sub):  # else the unknown itself, or zero
+                    total -= ways * side(da, sub, 1, c - 1, i) \
+                        * side(db, rest, b1, b2, r - i)
+                total += ways * side(da, sub, 1, b1, i) \
+                    * side(db, rest, c - 1, b2, r - i)
+        memo[(d, exps)] = total
+    return mult * memo[(d, exps)]
+
+
+@pytest.mark.parametrize("r, top", [(3, 4), (4, 3), (5, 2)])
+def test_one_slot_per_split_matches_the_full_scan(r, top):
+    # The engine solves each side's degree and gluing class from the gate;
+    # the reference scans them all.  Every admissible stripped key of P^r
+    # up to degree ``top`` with three or more marks is compared, and so is
+    # every memo entry the engine wrote on the way.
+    gw_module.clear_caches()
+    memo = {}
+    checked = 0
+    try:
+        for d in range(1, top + 1):
+            for base in stripped_admissible_pr(r, d):
+                if sum(base) >= 3:
+                    assert gw_module._reconstructed((r, d, base)) == \
+                        reference_invariant(r, d, base, memo), (r, d, base)
+                    checked += 1
+        for (rr, d, exps), value in gw_module._PR_CACHE.items():
+            assert value == reference_invariant(rr, d, exps, memo)
+    finally:
+        gw_module.clear_caches()
+    assert checked >= 10
+
+
+def test_invariants_do_not_depend_on_the_recursion_limit():
+    p3 = InvariantKey(P3, 20, (0, 0, 80, 0))
+    expected = gw_invariant(p3)
+    gw_module.clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        got = (gw_invariant(p3), gw_module._reconstructed((2, 30, (0, 0, 89))))
+    finally:
+        sys.setrecursionlimit(limit)
+        gw_module.clear_caches()
+    assert got == (expected, n_d(30))
+
+
+def test_p2_invariants_read_the_plane_counts_at_high_degree():
+    assert collected_invariant(P2, (0, 0, 1199)) == n_d(400)
+    assert collected_invariant(P2, (0, 2, 1199)) == 400 ** 2 * n_d(400)
