@@ -18,7 +18,9 @@ when explicitly requested with ``--timing``.
 If the environment variable ``GW_CACHE`` names a file, the memoized curve
 counts are loaded from it on startup and written back (merged) on exit,
 one ``key<TAB>value`` pair per line with keys ``nd:<d>`` and
-``nde:<d>,<e>``.  Without the variable all memoization is in-memory only.
+``nde:<d>,<e>``.  The file is replaced whole: the counts go to a sibling
+``<file>.<pid>.tmp`` that is then renamed over it.  Without the variable
+all memoization is in-memory only.
 """
 
 from __future__ import annotations
@@ -141,8 +143,23 @@ def _save_cache(path: str) -> None:
     nd, nde = surfaces.cache_snapshot()
     lines = [f"nd:{d}\t{value}" for d, value in sorted(nd.items())]
     lines += [f"nde:{d},{e}\t{value}" for (d, e), value in sorted(nde.items())]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + ("\n" if lines else ""))
+    # Write a sibling file and rename it over the cache, so a run killed
+    # mid-write leaves the old file whole instead of a truncated last line.
+    # A symlinked cache keeps its link: the rename replaces the link target.
+    path = os.path.realpath(path)
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + ("\n" if lines else ""))
+        if os.path.exists(path):  # keep the cache's permission bits
+            os.chmod(temporary, os.stat(path).st_mode & 0o7777)
+        os.replace(temporary, path)
+    except BaseException:
+        try:
+            os.remove(temporary)
+        except OSError:
+            pass
+        raise
 
 
 # -- subcommands -----------------------------------------------------------

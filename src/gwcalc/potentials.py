@@ -27,7 +27,9 @@ from __future__ import annotations
 import functools
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
+from operator import mul
 from typing import Callable
 
 from .exact import as_integer, factorial
@@ -105,7 +107,8 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
     the kept divisors from one row of pairing powers each, and the gate
     solves the exponent of the last kept class from those of the classes
     between.  An index 0 (the fundamental class) builds nothing.  Each
-    coefficient is summed as an integer times a! and made a Fraction once.
+    coefficient is summed as an integer times a! and handed to the series
+    as an integer numerator over the one denominator order!.
     """
     idx_exps = exponents_from_classes(target, idx)
     if order < 0:
@@ -170,9 +173,12 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
                         break
                     key = key_head + tail
                     acc[key] = acc.get(key, 0) + value * num
-    return TruncatedSeries(len(keep), order, {
-        key: Fraction(num, prod(map(factorial, key)))
-        for key, num in acc.items()})
+    # x^a / a! is x^a * (order! / a!) over the one denominator order!.
+    facts = list(accumulate(range(1, order + 1), mul, initial=1))
+    den = facts[order]
+    return TruncatedSeries._trusted(len(keep), order, den, {
+        key: num * (den // prod(map(facts.__getitem__, key)))
+        for key, num in acc.items() if num})
 
 
 def _with_constant(target: TargetSpace, ijk: tuple[int, ...],

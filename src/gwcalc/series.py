@@ -7,13 +7,21 @@ sums and products carry the minimum of the operand orders, and a partial
 derivative lowers the order by one.  Terms with zero coefficient or degree
 beyond the order are never stored.
 
-At the boundary (``terms``, ``coefficient``) every coefficient is a
-canonical ``Fraction``.  A product of two series runs on integers: each
-operand is scaled once to integer numerators over the lcm of its
-denominators, the numerators are convolved as plain ints in order of
-rising degree, and each result term is made one ``Fraction`` over the
-product of the two denominators.  The constructor checks outside input;
-results of the arithmetic are canonical by construction and skip it.
+Storage is integer: one positive denominator per series and one nonzero
+int numerator per stored exponent tuple.  The form is canonical, so equal
+series store equal data: the gcd of the denominator and every numerator is
+1, and the empty series has denominator 1.  All arithmetic runs on these
+ints.  A sum rescales both operands to the lcm of their denominators, a
+product convolves the stored numerators in order of rising degree over the
+product of the denominators, and each result is reduced once by the gcd of
+its denominator and numerators.  The constructor checks outside input;
+``_trusted`` is the private constructor for numerators that are already
+checked.
+
+``Fraction`` appears only at the boundary: the constructor and the scalar
+operands take ints and Fractions, and ``terms`` (a read-only view built on
+first use and cached), ``coefficient``, ``leading_term`` and ``render``
+give canonical Fractions.
 
 Instances are immutable after construction; all operations return new
 series, so sharing between threads is safe.
@@ -27,8 +35,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 _DOT = "·"
@@ -39,7 +48,7 @@ Exponents = tuple[int, ...]
 class TruncatedSeries:
     """A formal power series in ``nvars`` variables, exact up to ``order``."""
 
-    __slots__ = ("nvars", "order", "terms")
+    __slots__ = ("nvars", "order", "_den", "_nums", "_terms")
 
     def __init__(self, nvars: int, order: int,
                  terms: Mapping[Exponents, Fraction] | None = None):
@@ -60,22 +69,27 @@ class TruncatedSeries:
                 value = Fraction(coeff)
                 if value:
                     clean[exps] = value
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", clean)
+        # Over the lcm of reduced denominators the numerators share no
+        # factor with it, so this form is already canonical.
+        den = lcm(*(c.denominator for c in clean.values()))
+        _fill(self, nvars, order, den,
+              {e: c.numerator * (den // c.denominator)
+               for e, c in clean.items()}, MappingProxyType(clean))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
-    def _trusted(cls, nvars: int, order: int,
-                 terms: dict[Exponents, Fraction]) -> "TruncatedSeries":
-        """A series from terms that are already canonical: exponent tuples
-        of length nvars and degree <= order, nonzero Fraction coefficients."""
+    def _trusted(cls, nvars: int, order: int, den: int,
+                 nums: dict[Exponents, int]) -> "TruncatedSeries":
+        """A series ``nums / den`` from a positive denominator and nonzero
+        int numerators on exponent tuples of length nvars and degree <=
+        order, reduced here to the canonical form."""
+        if den > 1 and (common := gcd(den, *nums.values())) > 1:
+            den //= common
+            nums = {e: n // common for e, n in nums.items()}
         series = object.__new__(cls)
-        object.__setattr__(series, "nvars", nvars)
-        object.__setattr__(series, "order", order)
-        object.__setattr__(series, "terms", terms)
+        _fill(series, nvars, order, den, nums)
         return series
 
     # -- constructors -------------------------------------------------
@@ -100,6 +114,17 @@ class TruncatedSeries:
 
     # -- queries -------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """The stored terms as a read-only map to canonical Fractions."""
+        view = self._terms
+        if view is None:
+            den = self._den
+            view = MappingProxyType(
+                {e: Fraction(n, den) for e, n in self._nums.items()})
+            object.__setattr__(self, "_terms", view)
+        return view
+
     def coefficient(self, exps: Exponents) -> Fraction:
         """Coefficient of the monomial x^exps (zero if absent)."""
         key = tuple(exps)
@@ -111,26 +136,27 @@ class TruncatedSeries:
         if sum(key) > self.order:
             raise ValueError(
                 f"degree {sum(key)} exceeds the trusted order {self.order}")
-        return self.terms.get(key, Fraction(0))
+        return Fraction(self._nums.get(key, 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def leading_term(self) -> tuple[Exponents, Fraction] | None:
         """The term with lexicographically smallest exponents, or None."""
-        if not self.terms:
+        if not self._nums:
             return None
-        exps = min(self.terms)
-        return exps, self.terms[exps]
+        exps = min(self._nums)
+        return exps, Fraction(self._nums[exps], self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (self.nvars == other.nvars and self.order == other.order
-                and self.terms == other.terms)
+                and self._den == other._den and self._nums == other._nums)
 
     def __hash__(self):
-        return hash((self.nvars, self.order, frozenset(self.terms.items())))
+        return hash((self.nvars, self.order, self._den,
+                     frozenset(self._nums.items())))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -141,28 +167,36 @@ class TruncatedSeries:
 
     def __add__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(self.nvars, self.order, other)
+            num = other.numerator
+            other = TruncatedSeries._trusted(
+                self.nvars, self.order, other.denominator,
+                {(0,) * self.nvars: num} if num else {})
         elif not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
         order = min(self.order, other.order)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            if exps not in terms:
-                terms[exps] = coeff
-            elif value := terms[exps] + coeff:
-                terms[exps] = value
+        if not other._nums and order == self.order:
+            return self
+        if not self._nums and order == other.order:
+            return other
+        den = lcm(self._den, other._den)
+        nums = _rescaled(self._nums, den // self._den)
+        scale = den // other._den
+        for exps, num in other._nums.items():
+            if value := nums.get(exps, 0) + num * scale:
+                nums[exps] = value
             else:
-                del terms[exps]
+                del nums[exps]
         if self.order != other.order:
-            terms = {e: c for e, c in terms.items() if sum(e) <= order}
-        return TruncatedSeries._trusted(self.nvars, order, terms)
+            nums = {e: n for e, n in nums.items() if sum(e) <= order}
+        return TruncatedSeries._trusted(self.nvars, order, den, nums)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries._trusted(
-            self.nvars, self.order, {e: -c for e, c in self.terms.items()})
+            self.nvars, self.order, self._den,
+            {e: -n for e, n in self._nums.items()})
 
     def __sub__(self, other) -> "TruncatedSeries":
         if not isinstance(other, (int, Fraction, TruncatedSeries)):
@@ -176,15 +210,18 @@ class TruncatedSeries:
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
+            num, den = other.numerator, other.denominator
             return TruncatedSeries._trusted(
-                self.nvars, self.order,
-                {e: c * other for e, c in self.terms.items()} if other else {})
+                self.nvars, self.order, self._den * den,
+                _rescaled(self._nums, num) if num else {})
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
         order = min(self.order, other.order)
-        den_a, rows_a = _scaled(self.terms)
-        den_b, rows_b = _scaled(other.terms)
+        rows_a = sorted([(sum(e), e, n) for e, n in self._nums.items()],
+                        key=itemgetter(0))
+        rows_b = sorted([(sum(e), e, n) for e, n in other._nums.items()],
+                        key=itemgetter(0))
         acc: dict[Exponents, int] = {}
         for da, ea, na in rows_a:
             limit = order - da
@@ -193,10 +230,9 @@ class TruncatedSeries:
                     break
                 key = tuple(map(add, ea, eb))
                 acc[key] = acc.get(key, 0) + na * nb
-        den = den_a * den_b
         return TruncatedSeries._trusted(
-            self.nvars, order,
-            {e: Fraction(num, den) for e, num in acc.items() if num})
+            self.nvars, order, self._den * other._den,
+            {e: n for e, n in acc.items() if n})
 
     __rmul__ = __mul__
 
@@ -208,8 +244,8 @@ class TruncatedSeries:
         if order < 0:
             raise ValueError(f"truncation order must be >= 0, got {order}")
         return TruncatedSeries._trusted(
-            self.nvars, order,
-            {e: c for e, c in self.terms.items() if sum(e) <= order})
+            self.nvars, order, self._den,
+            {e: n for e, n in self._nums.items() if sum(e) <= order})
 
     def partial_derivative(self, var: int) -> "TruncatedSeries":
         """Formal d/dx_var; the trusted order drops by one, so a series of
@@ -219,35 +255,41 @@ class TruncatedSeries:
         if not self.order:
             raise ValueError("a series of trusted order 0 has no trusted "
                              "derivative")
-        terms: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        nums: dict[Exponents, int] = {}
+        for exps, num in self._nums.items():
             k = exps[var]
             if k == 0:
                 continue
             key = exps[:var] + (k - 1,) + exps[var + 1:]
-            terms[key] = coeff * k
-        return TruncatedSeries._trusted(self.nvars, self.order - 1, terms)
+            nums[key] = num * k
+        return TruncatedSeries._trusted(self.nvars, self.order - 1,
+                                        self._den, nums)
 
     def substitute_zero(self, var: int) -> "TruncatedSeries":
         """Set x_var = 0, keeping the variable slot (order unchanged)."""
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
-        terms = {e: c for e, c in self.terms.items() if e[var] == 0}
-        return TruncatedSeries._trusted(self.nvars, self.order, terms)
+        return TruncatedSeries._trusted(
+            self.nvars, self.order, self._den,
+            {e: n for e, n in self._nums.items() if e[var] == 0})
 
     # -- rendering -----------------------------------------------------
 
     def render(self, names: Iterable[str] | None = None) -> str:
         """Canonical text form, lexicographic in the exponent tuples."""
-        if not self.terms:
-            return "0"
         if names is None:
             names = [f"x{i}" for i in range(self.nvars)]
         else:
             names = list(names)
+            if len(names) != self.nvars:
+                raise ValueError(f"{len(names)} variable names for a series "
+                                 f"in {self.nvars} variables")
+        if not self._nums:
+            return "0"
+        terms = self.terms
         parts = []
-        for exps in sorted(self.terms):
-            coeff = self.terms[exps]
+        for exps in sorted(terms):
+            coeff = terms[exps]
             factors = []
             for name, k in zip(names, exps):
                 if k == 1:
@@ -267,13 +309,24 @@ class TruncatedSeries:
                 f"{self.render()})")
 
 
-def _scaled(terms: Mapping[Exponents, Fraction]
-            ) -> tuple[int, list[tuple[int, Exponents, int]]]:
-    """The terms over one common denominator: that denominator (the lcm of
-    theirs) and rows (degree, exponents, numerator) sorted by degree."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, sorted(((sum(e), e, c.numerator * (den // c.denominator))
-                        for e, c in terms.items()), key=itemgetter(0))
+def _fill(series: TruncatedSeries, nvars: int, order: int, den: int,
+          nums: dict[Exponents, int],
+          terms: Mapping[Exponents, Fraction] | None = None) -> None:
+    """Set the slots of a new series; without ``terms`` its Fraction view
+    is built on first use."""
+    set_slot = object.__setattr__
+    set_slot(series, "nvars", nvars)
+    set_slot(series, "order", order)
+    set_slot(series, "_den", den)
+    set_slot(series, "_nums", nums)
+    set_slot(series, "_terms", terms)
+
+
+def _rescaled(nums: dict[Exponents, int], factor: int) -> dict[Exponents, int]:
+    """A copy of the numerators, each multiplied by ``factor``."""
+    if factor == 1:
+        return dict(nums)
+    return {e: n * factor for e, n in nums.items()}
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")

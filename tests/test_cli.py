@@ -281,6 +281,58 @@ def test_cache_round_trips_counts_past_the_digit_limit(tmp_path,
     assert cache.read_text() == line
 
 
+def test_cache_write_failing_midway_keeps_the_old_file(
+        tmp_path, monkeypatch, capsys, restore_int_str_limit):
+    cache = tmp_path / "cache.txt"
+    monkeypatch.setenv("GW_CACHE", str(cache))
+    assert main(["nd", "--d", "4"]) == 0
+    old = cache.read_bytes()
+    assert b"nd:4\t620\n" in old
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
+    def disk_full(file, mode="r", **kwargs):
+        handle = open(file, mode, **kwargs)
+        if "w" in mode:
+            write = handle.write
+
+            def half(text):
+                write(text[:len(text) // 2])
+                handle.flush()
+                raise OSError(28, "No space left on device")
+
+            handle.write = half
+        return handle
+
+    monkeypatch.setattr(cli, "open", disk_full, raising=False)
+    assert main(["nd", "--d", "7"]) == 3
+    assert "OSError" in capsys.readouterr().err
+    assert cache.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
+
+def test_cache_write_through_a_symlink_updates_its_target(tmp_path):
+    target = tmp_path / "counts.txt"
+    target.write_text("nd:1\t1\n")
+    link = tmp_path / "cache.txt"
+    link.symlink_to(target.name)
+    result = run_cli("nd", "--d", "4", env_extra={"GW_CACHE": str(link)})
+    assert result.returncode == 0
+    assert link.is_symlink()
+    assert "nd:4\t620\n" in target.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.txt",
+                                                         "counts.txt"]
+
+
+def test_cache_write_keeps_the_file_mode(tmp_path):
+    cache = tmp_path / "cache.txt"
+    cache.write_text("nd:1\t1\n")
+    cache.chmod(0o640)
+    result = run_cli("nd", "--d", "4", env_extra={"GW_CACHE": str(cache)})
+    assert result.returncode == 0
+    assert "nd:4\t620\n" in cache.read_text()
+    assert cache.stat().st_mode & 0o777 == 0o640
+
+
 def test_usage_error_on_unknown_target():
     assert run_cli("gw", "--target", "p0", "--degree", "1",
                    "--classes", "h1:2").returncode == 2

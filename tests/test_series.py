@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwcalc.exact import factorial
-from gwcalc.potentials import gamma_p1x1, phi_ijk
+from gwcalc.potentials import _exponent_vectors, gamma_p1x1, phi_ijk
 from gwcalc.series import TruncatedSeries, parse_series
 from gwcalc.targets import P1XP1
 
@@ -184,6 +184,47 @@ def test_arithmetic_matches_reference_convolution(pair):
         assert result.order == order
         assert result.terms == expected
         assert all(type(c) is Fraction for c in result.terms.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(series_pairs(), COEFFICIENTS)
+def test_arithmetic_results_are_canonical(pair, scalar):
+    a, b = pair
+    results = [a * b, a + b, a - b, -a, a * scalar, a + scalar, scalar - a,
+               a.truncate(a.order // 2), a.substitute_zero(0)]
+    if a.order:
+        results.append(a.partial_derivative(a.nvars - 1))
+    for result in results:
+        rebuilt = TruncatedSeries(result.nvars, result.order, result.terms)
+        assert result == rebuilt
+        assert hash(result) == hash(rebuilt)
+        for exps in _exponent_vectors(result.nvars, result.order):
+            assert result.coefficient(exps) == result.terms.get(exps, 0)
+
+
+def test_terms_view_is_read_only():
+    s = TruncatedSeries(3, 3, {(1, 1, 0): Fraction(1, 2), (0, 0, 2): 3})
+    copy = TruncatedSeries(3, 3, {(1, 1, 0): Fraction(1, 2), (0, 0, 2): 3})
+    with pytest.raises(TypeError):
+        s.terms[(0, 0, 0)] = Fraction(5)
+    with pytest.raises(TypeError):
+        del s.terms[(0, 0, 2)]
+    with pytest.raises(TypeError):  # a view built on first use
+        (s * 2).terms[(0, 0, 0)] = Fraction(5)
+    assert s.coefficient((0, 0, 0)) == 0
+    assert s == copy and hash(s) == hash(copy)
+    assert s.terms == {(1, 1, 0): Fraction(1, 2), (0, 0, 2): 3}
+    assert len(s.terms) == 2 and sorted(s.terms.values()) == [Fraction(1, 2), 3]
+
+
+def test_render_refuses_a_wrong_number_of_names():
+    s = TruncatedSeries(3, 3, {(1, 1, 0): Fraction(1, 2), (0, 0, 2): 3})
+    for names in (["x"], ["x", "y"], ["a", "b", "c", "d"]):
+        with pytest.raises(ValueError, match="variable names"):
+            s.render(names)
+    with pytest.raises(ValueError, match="variable names"):
+        TruncatedSeries.zero(2, 3).render(["x"])
+    assert s.render(["a", "b", "c"]) == "3·c^2 + 1/2·a·b"
 
 
 def test_cancelling_terms_are_dropped():
