@@ -115,6 +115,20 @@ def _scalar_text(value) -> str:
     return str(frac.numerator) if is_integer(frac) else str(frac)
 
 
+def _scalar_record(inputs: dict, header: str, row: str, value) -> dict:
+    """One exact value: its text in plain output, ``row`` under ``header``
+    in CSV."""
+    return {"inputs": inputs, "values": [_scalar_value(value)],
+            "plain": _scalar_text(value), "csv": [header, row]}
+
+
+def _text_record(inputs: dict, kind: str, text: str) -> dict:
+    """Rendered text: one JSON value of ``kind`` and one CSV row per line."""
+    lines = text.split("\n")
+    return {"inputs": inputs, "values": [{kind: line} for line in lines],
+            "plain": text, "csv": ["value"] + lines}
+
+
 # -- cache persistence ----------------------------------------------------
 
 def _load_cache(path: str) -> None:
@@ -176,12 +190,8 @@ def _cmd_nd(args) -> dict:
             "csv": ["d,N_d"] + [f"{d},{v}" for d, v in rows],
         }
     value = surfaces.n_d(args.d)
-    return {
-        "inputs": {"d": args.d, "upto": False},
-        "values": [_scalar_value(value)],
-        "plain": str(value),
-        "csv": ["d,N_d", f"{args.d},{value}"],
-    }
+    return _scalar_record({"d": args.d, "upto": False}, "d,N_d",
+                          f"{args.d},{value}", value)
 
 
 def _cmd_nde(args) -> dict:
@@ -205,12 +215,8 @@ def _cmd_nde(args) -> dict:
         raise UsageError(
             f"bidegree ({args.d}, {args.e}) is not defined (need d+e >= 1)")
     value = surfaces.n_de(args.d, args.e)
-    return {
-        "inputs": {"d": args.d, "e": args.e},
-        "values": [_scalar_value(value)],
-        "plain": str(value),
-        "csv": ["d,e,N_de", f"{args.d},{args.e},{value}"],
-    }
+    return _scalar_record({"d": args.d, "e": args.e}, "d,e,N_de",
+                          f"{args.d},{args.e},{value}", value)
 
 
 def _cmd_gw(args) -> dict:
@@ -235,12 +241,7 @@ def _cmd_gw(args) -> dict:
             raise UsageError(str(exc))
         inputs = {"target": args.target, "degree": args.degree,
                   "classes": args.classes}
-    return {
-        "inputs": inputs,
-        "values": [_scalar_value(value)],
-        "plain": _scalar_text(value),
-        "csv": ["value", _scalar_text(value)],
-    }
+    return _scalar_record(inputs, "value", _scalar_text(value), value)
 
 
 def _cmd_qmul(args) -> dict:
@@ -258,25 +259,14 @@ def _cmd_qmul(args) -> dict:
             raise UsageError(f"--order must be >= 0, got {order}")
         product = big_qmul(BigQuantumElement.basis(target, i, order),
                            BigQuantumElement.basis(target, j, order))
-        text = product.render()
         inputs = {"target": args.target, "big": True, "order": order,
                   "operands": list(args.operands)}
-        return {
-            "inputs": inputs,
-            "values": [{"element": text}],
-            "plain": text,
-            "csv": ["value", text],
-        }
-    product = small_qmul(RingElement.basis(target, i),
-                         RingElement.basis(target, j))
-    text = product.render()
-    return {
-        "inputs": {"target": args.target, "small": True,
-                   "operands": list(args.operands)},
-        "values": [{"element": text}],
-        "plain": text,
-        "csv": ["value", text],
-    }
+    else:
+        product = small_qmul(RingElement.basis(target, i),
+                             RingElement.basis(target, j))
+        inputs = {"target": args.target, "small": True,
+                  "operands": list(args.operands)}
+    return _text_record(inputs, "element", product.render())
 
 
 def _cmd_wdvv(args) -> dict:
@@ -292,13 +282,8 @@ def _cmd_wdvv(args) -> dict:
         residual = wdvv_residual_p1x1(args.order)
         names = ["x1", "x2", "x3"]
     if residual.is_zero():
-        text = f"ZERO up to order {args.order}"
-        return {
-            "inputs": {"target": args.target, "order": args.order},
-            "values": [{"text": text}],
-            "plain": text,
-            "csv": ["value", text],
-        }
+        return _text_record({"target": args.target, "order": args.order},
+                            "text", f"ZERO up to order {args.order}")
     exps, coeff = residual.leading_term()
     term = TruncatedSeries(residual.nvars, residual.order,
                            {exps: coeff}).render(names)
@@ -333,13 +318,8 @@ def _cmd_potential(args) -> dict:
         if args.order is not None:
             series = series.truncate(min(args.order, series.order))
         text = series.render()
-    return {
-        "inputs": {"target": args.target, "order": args.order,
-                   "quantum": bool(args.quantum)},
-        "values": [{"series": line} for line in text.split("\n")],
-        "plain": text,
-        "csv": ["value"] + text.split("\n"),
-    }
+    return _text_record({"target": args.target, "order": args.order,
+                         "quantum": bool(args.quantum)}, "series", text)
 
 
 def _cmd_partitions(args) -> dict:
@@ -372,12 +352,7 @@ def _cmd_partitions(args) -> dict:
               "count": bool(args.count)}
     if args.count:
         value = len(partitions)
-        return {
-            "inputs": inputs,
-            "values": [_scalar_value(value)],
-            "plain": str(value),
-            "csv": ["count", str(value)],
-        }
+        return _scalar_record(inputs, "count", str(value), value)
     records = [p.to_json() for p in partitions]
     bidegree = records and "eA" in records[0]
     header = "A,B,dA,dB" + (",eA,eB" if bidegree else "")

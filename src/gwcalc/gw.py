@@ -26,10 +26,11 @@ reduced by arithmetic alone (``_resolve``).  The recursion runs on an
 explicit stack of generator frames (``_reconstructed``), so its depth is
 bounded by memory, not by the interpreter's recursion limit.
 
-All values are integers; the public functions return them as ``Fraction``
-since the surrounding series machinery works over the rationals.  The
-memo is keyed by stripped keys, is write-once, and holds values
-independent of evaluation order, so concurrent use is safe.
+Every target runs this path in one integer function (``_invariant``),
+which the potentials call directly; ``Fraction`` appears only in the
+values the public functions return.  The memo is keyed by stripped keys,
+is write-once, and holds values independent of evaluation order, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from fractions import Fraction
 from math import comb
 
 from .surfaces import n_d, n_de
-from .targets import (P1XP1, Degree, ExponentVector, InvariantKey, P1xP1,
+from .targets import (Degree, ExponentVector, InvariantKey, P1xP1,
                       ProjectiveSpace, TargetSpace, total_codim,
                       validate_degree)
 
@@ -77,6 +78,13 @@ def _strip(exps: ExponentVector, pairings: tuple[int, ...]
     for pairing, a in zip(pairings, exps[1:k]):
         mult *= pairing ** a
     return mult, (0,) * k + exps[k:]
+
+
+def _degrees(target: TargetSpace, total: int) -> list[Degree]:
+    """The degrees of a total: d on P^r, every split d + e on P1 x P1."""
+    if isinstance(target, P1xP1):
+        return [(d, total - d) for d in range(total + 1)]
+    return [total]
 
 
 def _shape(target: TargetSpace, degree: Degree
@@ -135,7 +143,7 @@ def gw_p1(key: InvariantKey) -> Fraction:
     target = key.target
     if not (isinstance(target, ProjectiveSpace) and target.r == 1):
         raise ValueError(f"gw_p1 expects target P^1, got {target}")
-    return Fraction(_gw_pr_int(1, key.degree, key.exponents))
+    return Fraction(_invariant(target, key.degree, key.exponents))
 
 
 def gw_pr(key: InvariantKey) -> Fraction:
@@ -144,19 +152,42 @@ def gw_pr(key: InvariantKey) -> Fraction:
     target = key.target
     if not (isinstance(target, ProjectiveSpace) and target.r >= 2):
         raise ValueError(f"gw_pr expects target P^r with r >= 2, got {target}")
-    return Fraction(_gw_pr_int(target.r, key.degree, key.exponents))
+    return Fraction(_invariant(target, key.degree, key.exponents))
 
 
-def _gw_pr_int(r: int, d: int, exps: ExponentVector) -> int:
-    if sum(i * a for i, a in enumerate(exps)) != _vdim(r + 1, r, d, sum(exps)):
+def gw_p1x1(key: InvariantKey) -> Fraction:
+    """Genus-0 invariant of P1 x P1.  On a surface the strip is exhaustive:
+    only point classes remain, and the value is mult * N_(d,e)."""
+    if not isinstance(key.target, P1xP1):
+        raise ValueError(f"gw_p1x1 expects target P1xP1, got {key.target}")
+    return Fraction(_invariant(key.target, key.degree, key.exponents))
+
+
+def gw_invariant(key: InvariantKey) -> Fraction:
+    """Evaluate any supported invariant, dispatching on the target."""
+    return Fraction(_invariant(key.target, key.degree, key.exponents))
+
+
+def _invariant(target: TargetSpace, degree: Degree, exps: ExponentVector
+               ) -> int:
+    """The invariant of a valid degree and exponent tuple: the gate, degree
+    zero and the strip, then the curve count or the reconstruction."""
+    index, dim, total, pairings = _shape(target, degree)
+    if total_codim(target, exps) != _vdim(index, dim, total, sum(exps)):
         return 0
-    if d == 0:
-        return _degree_zero(exps)
-    mult, exps = _strip(exps, (d,))
-    if not mult or r == 2:
-        # The gate leaves exactly 3d - 1 point classes on P^2.
-        return mult and mult * n_d(d)
-    value, key = _resolve(r, d, exps, ())
+    p1x1 = isinstance(target, P1xP1)
+    if not total:
+        return _degree_zero(exps, square_zero=(1, 2) if p1x1 else ())
+    mult, exps = _strip(exps, pairings)
+    if not mult:
+        return 0
+    # The gate leaves exactly 2(d+e) - 1 point classes on P1 x P1 and
+    # 3d - 1 on P^2.
+    if p1x1:
+        return mult * n_de(*degree)
+    if target.r == 2:
+        return mult * n_d(degree)
+    value, key = _resolve(target.r, degree, exps, ())
     return mult * value * (_reconstructed(key) if key else 1)
 
 
@@ -257,33 +288,6 @@ def _resolve(r: int, d: int, base: ExponentVector, marks: tuple[int, ...]
     return (mult, key) if value is None else (mult * value, None)
 
 
-def _gw_p1x1_int(d: int, e: int, exps: ExponentVector) -> int:
-    index, dim, total, pairings = _shape(P1XP1, (d, e))
-    if total_codim(P1XP1, exps) != _vdim(index, dim, total, sum(exps)):
-        return 0
-    if not total:
-        return _degree_zero(exps, square_zero=(1, 2))
-    mult, _ = _strip(exps, pairings)
-    # The gate leaves exactly 2(d+e) - 1 point classes.
-    return mult and mult * n_de(d, e)
-
-
-def gw_p1x1(key: InvariantKey) -> Fraction:
-    """Genus-0 invariant of P1 x P1.  On a surface the strip is exhaustive:
-    only point classes remain, and the value is mult * N_(d,e)."""
-    if not isinstance(key.target, P1xP1):
-        raise ValueError(f"gw_p1x1 expects target P1xP1, got {key.target}")
-    return Fraction(_gw_p1x1_int(*key.degree, key.exponents))
-
-
-def gw_invariant(key: InvariantKey) -> Fraction:
-    """Evaluate any supported invariant, dispatching on the target."""
-    target = key.target
-    if isinstance(target, P1xP1):
-        return gw_p1x1(key)
-    return Fraction(_gw_pr_int(target.r, key.degree, key.exponents))
-
-
 def collected_invariant(target: TargetSpace, exponents: ExponentVector) -> Fraction:
     """Sum of the invariant over all degrees; at most one degree survives.
 
@@ -293,12 +297,9 @@ def collected_invariant(target: TargetSpace, exponents: ExponentVector) -> Fract
     codim = total_codim(target, exponents)  # checks the length
     if any(a < 0 for a in exponents):
         raise ValueError(f"exponents must be >= 0, got {exponents}")
-    p1x1 = isinstance(target, P1xP1)
-    index, dim, _, _ = _shape(target, (0, 0) if p1x1 else 0)
+    index, dim, _, _ = _shape(target, _degrees(target, 0)[0])
     total, rest = divmod(codim - _vdim(index, dim, 0, sum(exponents)), index)
     if total < 0 or rest:
         return Fraction(0)
-    if p1x1:
-        return Fraction(sum(_gw_p1x1_int(d, total - d, exponents)
-                            for d in range(total + 1)))
-    return gw_invariant(InvariantKey(target, total, exponents))
+    return Fraction(sum(_invariant(target, degree, exponents)
+                        for degree in _degrees(target, total)))

@@ -127,17 +127,11 @@ def enumerate_partitions(marks: MarkSet, degree,
     out: list[WeightedPartition] = []
     order = {label: pos for pos, label in enumerate(marks)}
     for da, db, ea, eb in _degree_splits(degree):
-        total_a = da + (ea or 0)
-        total_b = db + (eb or 0)
         for mask in range(1 << len(spare)):
             side_a = [spare[t] for t in range(len(spare)) if mask >> t & 1]
             side_b = [spare[t] for t in range(len(spare)) if not mask >> t & 1]
             a = sorted([i, j] + side_a, key=order.__getitem__)
             b = sorted([k, l] + side_b, key=order.__getitem__)
-            if total_a == 0 and len(a) < 2:
-                continue
-            if total_b == 0 and len(b) < 2:
-                continue
             out.append(WeightedPartition(tuple(a), tuple(b), da, db, ea, eb))
     out.sort(key=lambda p: (p.d_a, p.e_a or 0,
                             tuple(order[m] for m in p.a)))

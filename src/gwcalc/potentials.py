@@ -32,12 +32,12 @@ from math import prod
 from operator import mul
 from typing import Callable
 
-from .exact import as_integer, factorial
-from .gw import _shape, _strip, _vdim, gw_invariant
+from .exact import factorial
+from .gw import _degrees, _invariant, _shape, _strip, _vdim
 from .series import TruncatedSeries
 from .surfaces import n_d, n_de
-from .targets import (P1XP1, Degree, ExponentVector, InvariantKey, P1xP1,
-                      ProjectiveSpace, TargetSpace, exponents_from_classes)
+from .targets import (P1XP1, Degree, ExponentVector, P1xP1, ProjectiveSpace,
+                      TargetSpace, exponents_from_classes)
 
 NdSource = Callable[[int], int]
 NdeSource = Callable[[int, int], int]
@@ -55,10 +55,6 @@ def _exponent_vectors(nvars: int, max_total: int):
             yield (head,) + tail
 
 
-def _zero_degree(target: TargetSpace) -> Degree:
-    return (0, 0) if isinstance(target, P1xP1) else 0
-
-
 def classical_potential(target: TargetSpace) -> TruncatedSeries:
     """The degree-zero part of the potential, computed from the invariants.
 
@@ -72,9 +68,9 @@ def classical_potential(target: TargetSpace) -> TruncatedSeries:
                 f"got {target}")
     elif not isinstance(target, P1xP1):
         raise ValueError(f"unsupported target {target!r}")
+    zero, = _degrees(target, 0)
     return TruncatedSeries(target.basis_size, 3, {
-        a: gw_invariant(InvariantKey(target, _zero_degree(target), a))
-        / prod(map(factorial, a))
+        a: Fraction(_invariant(target, zero, a), prod(map(factorial, a)))
         for a in _exponent_vectors(target.basis_size, 3) if sum(a) == 3})
 
 
@@ -115,7 +111,7 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
         raise ValueError(f"order must be >= 0, got {order}")
     if idx_exps[0]:  # the fundamental class kills every curve class
         return TruncatedSeries.zero(len(keep), order)
-    index, dim, _, pairings = _shape(target, _zero_degree(target))
+    index, dim, _, pairings = _shape(target, _degrees(target, 0)[0])
     # The gate fixes (codimension sum - marks); each class adds codim - 1.
     weight = [target.codim(c) - 1 for c in range(target.basis_size)]
     divisors = [c for c in keep if 1 <= c <= len(pairings)]
@@ -139,9 +135,7 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
             break
         # A kept tail has degree >= gap / top, which leaves the divisors span.
         span = order - (max(gap, 0) + top - 1) // top if top else order
-        betas = ([(d, total - d) for d in range(total + 1)]
-                 if isinstance(target, P1xP1) else [total])
-        for beta in betas:
+        for beta in _degrees(target, total):
             pairing = _shape(target, beta)[3]
             mult, base = _strip(idx_exps, pairing)
             if not mult:
@@ -184,8 +178,8 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
 def _with_constant(target: TargetSpace, ijk: tuple[int, ...],
                    quantum: TruncatedSeries) -> TruncatedSeries:
     """Phi_ijk: its quantum part plus the degree-zero constant I_0(ijk)."""
-    constant = gw_invariant(
-        InvariantKey.from_classes(target, _zero_degree(target), ijk))
+    zero, = _degrees(target, 0)
+    constant = _invariant(target, zero, exponents_from_classes(target, ijk))
     return quantum + constant if constant else quantum
 
 
@@ -273,8 +267,7 @@ def phi_ijk(target: TargetSpace, i: int, j: int, k: int,
     key = (target, tuple(sorted((i, j, k))), order)
     if key not in _PHI_CACHE:
         _PHI_CACHE[key] = _with_constant(target, key[1], _quantum_part(
-            target, key[1], order, lambda beta, exps: as_integer(
-                gw_invariant(InvariantKey(target, beta, exps))),
+            target, key[1], order, functools.partial(_invariant, target),
             tuple(range(target.basis_size))))
     return _PHI_CACHE[key]
 

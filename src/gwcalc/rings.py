@@ -99,6 +99,8 @@ class RingElement:
                                for b, p in self.coeffs.items())))
 
     def __add__(self, other: "RingElement") -> "RingElement":
+        if not isinstance(other, RingElement):
+            return NotImplemented
         if self.target != other.target:
             raise ValueError("target mismatch")
         coeffs: dict[int, dict[Monomial, Fraction]] = {
@@ -115,6 +117,8 @@ class RingElement:
                             for b, p in self.coeffs.items()})
 
     def __sub__(self, other: "RingElement") -> "RingElement":
+        if not isinstance(other, RingElement):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, factor) -> "RingElement":
@@ -124,6 +128,8 @@ class RingElement:
                             for b, p in self.coeffs.items()})
 
     def __mul__(self, other: "RingElement") -> "RingElement":
+        if not isinstance(other, RingElement):
+            return NotImplemented
         return small_qmul(self, other)
 
     def render(self) -> str:
@@ -297,9 +303,11 @@ class BigQuantumElement:
         return hash((self.target, self.order, self.components))
 
     def __add__(self, other: "BigQuantumElement") -> "BigQuantumElement":
+        if not isinstance(other, BigQuantumElement):
+            return NotImplemented
         self._check(other)
         return BigQuantumElement(
-            self.target, min(self.order, other.order),
+            self.target, self.order,
             [a + b for a, b in zip(self.components, other.components)])
 
     def __neg__(self) -> "BigQuantumElement":
@@ -307,6 +315,8 @@ class BigQuantumElement:
                                  [-c for c in self.components])
 
     def __sub__(self, other: "BigQuantumElement") -> "BigQuantumElement":
+        if not isinstance(other, BigQuantumElement):
+            return NotImplemented
         return self + (-other)
 
     def is_zero(self) -> bool:

@@ -160,6 +160,38 @@ def test_partitions_json_listing():
         "A": ["m1", "m2"], "B": ["p1", "p2"], "dA": 0, "dB": 0}}]
 
 
+GW_COLLECTED = ("gw", "--target", "p2", "--collected", "--classes", "h2:8")
+P2_QUANTUM = ("potential", "--target", "p2", "--quantum", "--order", "4")
+PARTITION_COUNT = ("partitions", "--marks", "6", "--degree", "2",
+                   "--pins", "m1,m2:p1,p2", "--count")
+
+
+@pytest.mark.parametrize("args, fmt, expected", [
+    (GW_COLLECTED, "csv", "value\n12\n"),
+    (GW_COLLECTED, "json",
+     '{"command": "gw", "inputs": {"classes": "h2:8", "collected": true, '
+     '"target": "p2"}, "values": [{"decimal": "12", "rational": "12/1"}]}\n'),
+    (P2_QUANTUM, "csv",
+     "value\nG111: 1/2·x^2\nG112: x + 1/6·x^4\nG122: 1 + 1/3·x^3\n"
+     "G222: 1/2·x^2\n"),
+    (P2_QUANTUM, "json",
+     '{"command": "potential", "inputs": {"order": 4, "quantum": true, '
+     '"target": "p2"}, "values": [{"series": "G111: 1/2\\u00b7x^2"}, '
+     '{"series": "G112: x + 1/6\\u00b7x^4"}, '
+     '{"series": "G122: 1 + 1/3\\u00b7x^3"}, '
+     '{"series": "G222: 1/2\\u00b7x^2"}]}\n'),
+    (PARTITION_COUNT, "csv", "count\n12\n"),
+    (PARTITION_COUNT, "json",
+     '{"command": "partitions", "inputs": {"count": true, "degree": "2", '
+     '"marks": 6, "pins": "m1,m2:p1,p2"}, '
+     '"values": [{"decimal": "12", "rational": "12/1"}]}\n'),
+])
+def test_record_stdout_is_pinned(args, fmt, expected):
+    result = run_cli(*args, "--format", fmt)
+    assert result.returncode == 0
+    assert result.stdout == expected
+
+
 def test_partitions_bad_degree_exits_2():
     # A degree has one component, or two on P1xP1; a third is not dropped.
     for degree in ("1,2,3", "x", "1,"):

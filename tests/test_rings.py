@@ -88,6 +88,16 @@ def test_small_qmul_target_mismatch():
         small_qmul_p1x1(h(1, 2), h(1, 2))
 
 
+def test_foreign_operands_raise_type_error():
+    small = h(1, 2)
+    big = BigQuantumElement.basis(P2, 1, 3)
+    for operation in (lambda: small * 2, lambda: small + 1,
+                      lambda: small - 1, lambda: 2 * small,
+                      lambda: big + 1, lambda: big - 1, lambda: 1 - big):
+        with pytest.raises(TypeError):
+            operation()
+
+
 def test_small_associativity_basis_triples():
     for r in range(2, 7):
         basis = [h(i, r) for i in range(r + 1)]
