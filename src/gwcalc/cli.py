@@ -35,7 +35,8 @@ from fractions import Fraction
 from . import surfaces
 from .exact import is_integer
 from .gw import collected_invariant, gw_invariant
-from .partitions import MarkSet, enumerate_partitions
+from .partitions import (MarkSet, count_pinned_partitions,
+                         enumerate_partitions)
 from .potentials import (classical_potential, gw_potential_p1,
                          quantum_potential_p1x1,
                          quantum_potential_p2_reduced, wdvv_residual_p1x1,
@@ -66,19 +67,17 @@ def _parse_target(text: str) -> TargetSpace:
 
 
 def _parse_degree(target: TargetSpace, text: str):
+    """One integer per generator: d on P^r, d,e on P1xP1."""
     parts = text.split(",")
+    n = len(target.params)
     try:
-        if isinstance(target, ProjectiveSpace):
-            if len(parts) != 1:
-                raise ValueError
-            return int(parts[0])
-        if len(parts) != 2:
+        if len(parts) != n:
             raise ValueError
-        return (int(parts[0]), int(parts[1]))
+        degree = tuple(map(int, parts))
     except ValueError:
-        kind = "d" if isinstance(target, ProjectiveSpace) else "d,e"
-        raise UsageError(
-            f"degree {text!r} does not match the target (expected {kind})")
+        raise UsageError(f"degree {text!r} does not match the target "
+                         f"(expected {','.join('de'[:n])})")
+    return degree if n > 1 else degree[0]
 
 
 def _parse_classes(target: TargetSpace, text: str) -> list[int]:
@@ -344,15 +343,15 @@ def _cmd_partitions(args) -> dict:
     except ValueError:
         raise UsageError(f"--pins must look like m1,m2:p1,p2, "
                          f"got {args.pins!r}")
+    inputs = {"marks": args.marks, "degree": args.degree, "pins": args.pins,
+              "count": bool(args.count)}
     try:
+        if args.count:  # the closed form, not a list of 2^(marks-4) entries
+            value = count_pinned_partitions(marks, degree, (pin_a, pin_b))
+            return _scalar_record(inputs, "count", str(value), value)
         partitions = enumerate_partitions(marks, degree, (pin_a, pin_b))
     except ValueError as exc:
         raise UsageError(str(exc))
-    inputs = {"marks": args.marks, "degree": args.degree, "pins": args.pins,
-              "count": bool(args.count)}
-    if args.count:
-        value = len(partitions)
-        return _scalar_record(inputs, "count", str(value), value)
     records = [p.to_json() for p in partitions]
     bidegree = records and "eA" in records[0]
     header = "A,B,dA,dB" + (",eA,eB" if bidegree else "")

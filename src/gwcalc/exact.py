@@ -4,8 +4,8 @@ Python integers are already arbitrary precision and ``fractions.Fraction``
 keeps rationals in canonical reduced form (positive denominator, gcd one),
 so this module is a thin layer pinning down the conventions the rest of the
 library relies on: binomials outside the Pascal triangle are zero, and
-values that are known to be integers are extracted through an accessor that
-fails loudly on a non-trivial denominator.
+``as_integer`` hands a caller the int inside an invariant returned as a
+``Fraction``, failing loudly on a non-trivial denominator.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently.
@@ -61,9 +61,9 @@ def is_integer(value: Fraction | int) -> bool:
 def as_integer(value: Fraction | int) -> int:
     """Extract an integer from a rational, failing loudly otherwise.
 
-    Curve counts and invariants are integers on theoretical grounds even
-    though they are carried as rationals; this accessor is the single place
-    where that expectation is enforced.
+    Invariants are integers on theoretical grounds, and the public
+    invariant functions return them as ``Fraction``; this accessor is for
+    their callers.  The library computes them as ints and never calls it.
     """
     if isinstance(value, int):
         return value

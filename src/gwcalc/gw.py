@@ -9,10 +9,14 @@ tuples:
    space of n-pointed genus-0 stable maps, where c1(beta) is (r+1)d on
    P^r and 2(d+e) on P1 x P1;
 2. degree zero (``_degree_zero``): a constant map needs three marks, and
-   a three-point invariant is the triple intersection number;
+   a three-point invariant is the triple intersection number, one exactly
+   when the words of the three classes add up to the point class's word;
 3. strip (``_strip``): in positive degree a fundamental class (h^0, T_0)
    kills the invariant, and each divisor class is traded for its pairing
    with the degree: d per h^1 on P^r, e per T_1 and d per T_2 on P1 x P1.
+
+The target supplies every per-target fact these steps use (its index,
+dimension, words and pairings; see ``targets``).
 
 After these steps both surfaces read their curve-count tables: the gate
 leaves 2(d+e) - 1 point classes on P1 x P1, where the value is N_(d,e),
@@ -51,17 +55,18 @@ def clear_caches() -> None:
     _PR_CACHE.clear()
 
 
-def _vdim(index: int, dim: int, total: int, n: int) -> int:
-    """c1(beta) + dim X + n - 3 with c1(beta) = index * total: index r + 1
-    and total d on P^r, index 2 and total d + e on P1 x P1."""
-    return index * total + dim + n - 3
+def _vdim(target: TargetSpace, total: int, n: int) -> int:
+    """c1(beta) + dim X + n - 3 with c1(beta) = index * total degree."""
+    return target.index * total + target.dimension + n - 3
 
 
-def _degree_zero(exps: ExponentVector, square_zero: tuple[int, ...] = ()) -> int:
-    """Degree-zero invariant of a key that passed the gate.  Only
-    three-point invariants survive; their classes cup to the point class
-    unless one whose square is zero (T_1 or T_2 on P1 x P1) repeats."""
-    return int(sum(exps) == 3 and all(exps[i] < 2 for i in square_zero))
+def _degree_zero(target: TargetSpace, exps: ExponentVector) -> int:
+    """Degree-zero invariant: only three-point invariants survive, and
+    those are one when the classes' words add up to the point class's."""
+    if sum(exps) != 3:
+        return 0
+    classes = [word for word, a in zip(target.words, exps) for _ in range(a)]
+    return int(tuple(map(sum, zip(*classes))) == target.words[-1])
 
 
 def _strip(exps: ExponentVector, pairings: tuple[int, ...]
@@ -80,22 +85,6 @@ def _strip(exps: ExponentVector, pairings: tuple[int, ...]
     return mult, (0,) * k + exps[k:]
 
 
-def _degrees(target: TargetSpace, total: int) -> list[Degree]:
-    """The degrees of a total: d on P^r, every split d + e on P1 x P1."""
-    if isinstance(target, P1xP1):
-        return [(d, total - d) for d in range(total + 1)]
-    return [total]
-
-
-def _shape(target: TargetSpace, degree: Degree
-           ) -> tuple[int, int, int, tuple[int, ...]]:
-    """(index, dim X, total degree, divisor pairings) for the steps above."""
-    if isinstance(target, P1xP1):
-        d, e = degree
-        return 2, 2, d + e, (e, d)
-    return target.r + 1, target.r, degree, (degree,)
-
-
 def dim_moduli(target: TargetSpace, degree: Degree, n: int) -> int:
     """Dimension of the space of n-pointed genus-0 stable maps:
     rd + r + d + n - 3 for P^r, n + 2d + 2e - 1 for P1 x P1.
@@ -106,11 +95,11 @@ def dim_moduli(target: TargetSpace, degree: Degree, n: int) -> int:
     validate_degree(target, degree)
     if n < 0:
         raise ValueError(f"mark count must be >= 0, got {n}")
-    index, dim, total, _ = _shape(target, degree)
+    total = sum(target.pairings(degree))
     if total == 0 and n < 3:
         raise ValueError(
             "no stable maps: a constant map needs at least three marks")
-    return _vdim(index, dim, total, n)
+    return _vdim(target, total, n)
 
 
 def dimension_admissible(key: InvariantKey) -> bool:
@@ -130,8 +119,8 @@ def reduce_invariant(key: InvariantKey) -> tuple[int, InvariantKey]:
     Degree-zero keys are returned untouched: their three-point evaluation
     handles low codimensions directly.
     """
-    _, _, total, pairings = _shape(key.target, key.degree)
-    if not total:
+    pairings = key.target.pairings(key.degree)
+    if not any(pairings):
         return 1, key
     mult, exps = _strip(key.exponents, pairings)
     return mult, InvariantKey(key.target, key.degree, exps)
@@ -172,18 +161,18 @@ def _invariant(target: TargetSpace, degree: Degree, exps: ExponentVector
                ) -> int:
     """The invariant of a valid degree and exponent tuple: the gate, degree
     zero and the strip, then the curve count or the reconstruction."""
-    index, dim, total, pairings = _shape(target, degree)
-    if total_codim(target, exps) != _vdim(index, dim, total, sum(exps)):
+    pairings = target.pairings(degree)
+    total = sum(pairings)
+    if total_codim(target, exps) != _vdim(target, total, sum(exps)):
         return 0
-    p1x1 = isinstance(target, P1xP1)
     if not total:
-        return _degree_zero(exps, square_zero=(1, 2) if p1x1 else ())
+        return _degree_zero(target, exps)
     mult, exps = _strip(exps, pairings)
     if not mult:
         return 0
     # The gate leaves exactly 2(d+e) - 1 point classes on P1 x P1 and
     # 3d - 1 on P^2.
-    if p1x1:
+    if isinstance(target, P1xP1):
         return mult * n_de(*degree)
     if target.r == 2:
         return mult * n_d(degree)
@@ -297,9 +286,9 @@ def collected_invariant(target: TargetSpace, exponents: ExponentVector) -> Fract
     codim = total_codim(target, exponents)  # checks the length
     if any(a < 0 for a in exponents):
         raise ValueError(f"exponents must be >= 0, got {exponents}")
-    index, dim, _, _ = _shape(target, _degrees(target, 0)[0])
-    total, rest = divmod(codim - _vdim(index, dim, 0, sum(exponents)), index)
+    total, rest = divmod(codim - _vdim(target, 0, sum(exponents)),
+                         target.index)
     if total < 0 or rest:
         return Fraction(0)
     return Fraction(sum(_invariant(target, degree, exponents)
-                        for degree in _degrees(target, total)))
+                        for degree in target.degrees(total)))

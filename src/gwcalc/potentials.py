@@ -33,7 +33,7 @@ from operator import mul
 from typing import Callable
 
 from .exact import factorial
-from .gw import _degrees, _invariant, _shape, _strip, _vdim
+from .gw import _degree_zero, _invariant, _strip, _vdim
 from .series import TruncatedSeries
 from .surfaces import n_d, n_de
 from .targets import (P1XP1, Degree, ExponentVector, P1xP1, ProjectiveSpace,
@@ -68,9 +68,8 @@ def classical_potential(target: TargetSpace) -> TruncatedSeries:
                 f"got {target}")
     elif not isinstance(target, P1xP1):
         raise ValueError(f"unsupported target {target!r}")
-    zero, = _degrees(target, 0)
     return TruncatedSeries(target.basis_size, 3, {
-        a: Fraction(_invariant(target, zero, a), prod(map(factorial, a)))
+        a: Fraction(_degree_zero(target, a), prod(map(factorial, a)))
         for a in _exponent_vectors(target.basis_size, 3) if sum(a) == 3})
 
 
@@ -111,11 +110,11 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
         raise ValueError(f"order must be >= 0, got {order}")
     if idx_exps[0]:  # the fundamental class kills every curve class
         return TruncatedSeries.zero(len(keep), order)
-    index, dim, _, pairings = _shape(target, _degrees(target, 0)[0])
-    # The gate fixes (codimension sum - marks); each class adds codim - 1.
+    # The gate fixes (codimension sum - marks); each class adds codim - 1,
+    # so the divisors, one per generator at indices 1, 2, ..., weigh zero.
     weight = [target.codim(c) - 1 for c in range(target.basis_size)]
-    divisors = [c for c in keep if 1 <= c <= len(pairings)]
-    placed = [c for c in keep if c > len(pairings)]
+    divisors = [c for c in keep if weight[c] == 0]
+    placed = [c for c in keep if weight[c] > 0]
     top = weight[placed[-1]] if placed else 0
     free = placed[:-1]
     head = (0,) if 0 in keep else ()
@@ -130,13 +129,13 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
     total = 0
     while True:
         total += 1
-        gap = _vdim(index, dim, total, 0) - sum(weight[c] for c in idx)
+        gap = _vdim(target, total, 0) - sum(weight[c] for c in idx)
         if gap > top * order:
             break
         # A kept tail has degree >= gap / top, which leaves the divisors span.
         span = order - (max(gap, 0) + top - 1) // top if top else order
-        for beta in _degrees(target, total):
-            pairing = _shape(target, beta)[3]
+        for beta in target.degrees(total):
+            pairing = target.pairings(beta)
             mult, base = _strip(idx_exps, pairing)
             if not mult:
                 continue
@@ -178,8 +177,7 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
 def _with_constant(target: TargetSpace, ijk: tuple[int, ...],
                    quantum: TruncatedSeries) -> TruncatedSeries:
     """Phi_ijk: its quantum part plus the degree-zero constant I_0(ijk)."""
-    zero, = _degrees(target, 0)
-    constant = _invariant(target, zero, exponents_from_classes(target, ijk))
+    constant = _degree_zero(target, exponents_from_classes(target, ijk))
     return quantum + constant if constant else quantum
 
 

@@ -1,15 +1,12 @@
 """Classical, small quantum and big quantum cohomology products.
 
-Small quantum rings are implemented by the closed-form multiplication
-rules the invariants force:
-
-    P^r:    h^i * h^j = h^(i+j)            if i + j <= r
-                      = q h^(i+j-r-1)      otherwise,
-    so Q*(P^r) = Q[h, q] / (h^(r+1) - q);
-
-    P1xP1:  T_1 T_1 = q_v, T_2 T_2 = q_h, T_1 T_2 = T_3,
-            T_1 T_3 = q_v T_2, T_2 T_3 = q_h T_1, T_3 T_3 = q_v q_h,
-    so Q*(P1xP1) = Q[h, v, q_h, q_v] / (h^2 - q_h, v^2 - q_v).
+Small quantum products follow one rule from the presentation each target
+carries (``targets``): the words of two basis classes add, and a generator
+power that reaches the index n carries into its parameter, g^n = q_g.  On
+P^r that is h^i * h^j = h^(i+j) if i + j <= r and q h^(i+j-r-1) otherwise;
+on P1xP1, T_1 T_1 = q_v, T_1 T_2 = T_3, T_1 T_3 = q_v T_2 and
+T_3 T_3 = q_v q_h.  The products of the basis classes are tabled once per
+target.
 
 A ring element keeps, per basis class, a sparse polynomial in the
 deformation parameters (q, or q_v and q_h) with rational coefficients.
@@ -23,6 +20,7 @@ constants taken from the potential module at the requested order.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Mapping
 
@@ -33,14 +31,6 @@ from .targets import P1xP1, ProjectiveSpace, TargetSpace
 _DOT = "·"
 
 Monomial = tuple[int, ...]  # exponents of the deformation parameters
-
-
-def _nparams(target: TargetSpace) -> int:
-    return 1 if isinstance(target, ProjectiveSpace) else 2
-
-
-def _param_names(target: TargetSpace) -> tuple[str, ...]:
-    return ("q",) if isinstance(target, ProjectiveSpace) else ("q_v", "q_h")
 
 
 class RingElement:
@@ -55,7 +45,7 @@ class RingElement:
 
     def __init__(self, target: TargetSpace,
                  coeffs: Mapping[int, Mapping[Monomial, Fraction]] | None = None):
-        nparams = _nparams(target)
+        nparams = len(target.params)
         clean: dict[int, dict[Monomial, Fraction]] = {}
         if coeffs:
             for basis, poly in coeffs.items():
@@ -82,7 +72,7 @@ class RingElement:
     @classmethod
     def basis(cls, target: TargetSpace, index: int, coeff=1,
               mono: Monomial | None = None) -> "RingElement":
-        mono = mono if mono is not None else (0,) * _nparams(target)
+        mono = mono if mono is not None else (0,) * len(target.params)
         return cls(target, {index: {mono: Fraction(coeff)}})
 
     def is_zero(self) -> bool:
@@ -136,7 +126,7 @@ class RingElement:
         """Canonical text, e.g. ``q·h0`` or ``T3 + 2·q_v·T2``."""
         if not self.coeffs:
             return "0"
-        names = _param_names(self.target)
+        names = self.target.params
         parts = []
         for basis in sorted(self.coeffs):
             for mono in sorted(self.coeffs[basis]):
@@ -171,37 +161,32 @@ def _cup(target: TargetSpace, i: int, j: int) -> RingElement:
     """The q-free part of the small quantum product of two basis classes."""
     target.codim(i)
     target.codim(j)
-    basis, mono = _small_basis_product(target, i, j)
+    basis, mono = _products(target)[i, j]
     if any(mono):
         return RingElement.zero(target)
     return RingElement.basis(target, basis)
 
 
-# Small quantum multiplication table for P1xP1: basis pair (i <= j) to
-# (basis index, q_v power, q_h power).
-_SMALL_P1X1 = {
-    (1, 1): (0, 1, 0),
-    (1, 2): (3, 0, 0),
-    (1, 3): (2, 1, 0),
-    (2, 2): (0, 0, 1),
-    (2, 3): (1, 0, 1),
-    (3, 3): (0, 1, 1),
-}
+class _Products(dict):
+    """The small products of one target's basis classes: a basis pair maps
+    to (basis index, parameter monomial).  The words add, and each
+    generator power carries into its parameter by divmod with the index.
+    A pair is filled when first asked for; P^r has (r+1)^2 of them."""
+
+    def __init__(self, target: TargetSpace):
+        super().__init__()
+        self.words, self.index = target.words, target.index
+        self.basis = {word: i for i, word in enumerate(target.words)}
+
+    def __missing__(self, pair: tuple[int, int]) -> tuple[int, Monomial]:
+        i, j = pair
+        carry, word = zip(*(divmod(a + b, self.index)
+                            for a, b in zip(self.words[i], self.words[j])))
+        self[pair] = product = (self.basis[word], carry)
+        return product
 
 
-def _small_basis_product(target: TargetSpace, i: int, j: int
-                         ) -> tuple[int, Monomial]:
-    if isinstance(target, ProjectiveSpace):
-        r = target.r
-        if i + j <= r:
-            return i + j, (0,)
-        return i + j - r - 1, (1,)
-    if i == 0:
-        return j, (0, 0)
-    if j == 0:
-        return i, (0, 0)
-    basis, qv, qh = _SMALL_P1X1[(min(i, j), max(i, j))]
-    return basis, (qv, qh)
+_products = functools.cache(_Products)  # one table per target
 
 
 def small_qmul(a: RingElement, b: RingElement) -> RingElement:
@@ -209,10 +194,11 @@ def small_qmul(a: RingElement, b: RingElement) -> RingElement:
     if a.target != b.target:
         raise ValueError("target mismatch")
     target = a.target
+    products = _products(target)
     coeffs: dict[int, dict[Monomial, Fraction]] = {}
     for bi, pa in a.coeffs.items():
         for bj, pb in b.coeffs.items():
-            basis, mono = _small_basis_product(target, bi, bj)
+            basis, mono = products[bi, bj]
             entry = coeffs.setdefault(basis, {})
             for ma, ca in pa.items():
                 for mb, cb in pb.items():

@@ -1,76 +1,100 @@
-"""Target spaces, cohomology bases and invariant keys.
+"""Target spaces, their ring presentations, and invariant keys.
 
-Two targets are supported: projective space P^r with basis h^0, ..., h^r
-(h^i the class of a generic codimension-i linear subspace) and the quadric
-P1 x P1 with basis T_0 (fundamental class), T_1 (vertical rule), T_2
-(horizontal rule), T_3 (point class).  For P^r the basis index equals the
-codimension; for P1 x P1 the codimensions are 0, 1, 1, 2.
+Two targets are supported, projective space P^r and the quadric P1 x P1.
+Each carries the presentation of its quantum cohomology ring as data
+(Kontsevich-Manin 1994; Fulton-Pandharipande 1997, section 10):
 
-An invariant key records a target, a degree (an integer, or a bidegree
-pair for P1 x P1) and the multiset of basis classes fed into the invariant,
-stored as an exponent vector of occurrence counts.  Because only the counts
-are stored, keys are invariant under permutation of the input classes by
-construction.
+    Q*(P^r)   = Q[h, q] / (h^(r+1) - q),
+    Q*(P1xP1) = Q[h, v, q_h, q_v] / (h^2 - q_h, v^2 - q_v).
+
+``words`` gives each basis class as its exponents of the generators, and
+its codimension is their sum.  On P^r the basis is h0, ..., hr, h^i the
+class of a generic codimension-i linear subspace, with word (i,).  On
+P1 x P1 the words are over (v, h): T0 = 1, T1 = v (vertical rule),
+T2 = h (horizontal rule) and T3 = vh (point class).  ``index`` is the n
+with c1 = n * (sum of the generators), r + 1 or 2, so c1(beta) is n times
+the total degree; it is also the power in g^n = q_g, and ``params`` names
+the q_g.  A degree is an integer on P^r and a pair (d, e) on P1 x P1;
+``pairings(degree)`` gives its pairing with each generator, (d,) or
+(e, d), and ``degrees(total)`` lists the degrees of a total.
+
+An invariant key records a target, a degree and the multiset of basis
+classes fed into the invariant, stored as an exponent vector of occurrence
+counts.  Because only the counts are stored, keys are invariant under
+permutation of the input classes by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 ExponentVector = tuple[int, ...]
 
 
+class _Presented:
+    """What a target derives from its ``words`` and ``prefix``."""
+
+    @property
+    def basis_size(self) -> int:
+        return len(self.words)
+
+    def codim(self, index: int) -> int:
+        if not 0 <= index < len(self.words):
+            raise ValueError(f"basis index {index} out of range for {self}")
+        return sum(self.words[index])
+
+    def basis_name(self, index: int) -> str:
+        return f"{self.prefix}{index}"
+
+
 @dataclass(frozen=True)
-class ProjectiveSpace:
+class ProjectiveSpace(_Presented):
     """P^r for r >= 1."""
     r: int
+
+    prefix = "h"
+    params = ("q",)
 
     def __post_init__(self) -> None:
         if self.r < 1:
             raise ValueError(f"projective space needs r >= 1, got r={self.r}")
+        # Plain attributes, so the invariants' gate reads them without a call.
+        object.__setattr__(self, "index", self.r + 1)
+        object.__setattr__(self, "dimension", self.r)
 
-    @property
-    def basis_size(self) -> int:
-        return self.r + 1
+    @cached_property
+    def words(self) -> tuple[tuple[int], ...]:
+        # Built on first use: naming a target costs O(1), whatever its r.
+        return tuple((i,) for i in range(self.r + 1))
 
-    @property
-    def dimension(self) -> int:
-        return self.r
+    def pairings(self, degree: int) -> tuple[int]:
+        return (degree,)
 
-    def codim(self, index: int) -> int:
-        if not 0 <= index <= self.r:
-            raise ValueError(f"basis index {index} out of range for P^{self.r}")
-        return index
-
-    def basis_name(self, index: int) -> str:
-        return f"h{index}"
+    def degrees(self, total: int) -> list[int]:
+        return [total]
 
     def __str__(self) -> str:
         return f"P^{self.r}"
 
 
 @dataclass(frozen=True)
-class P1xP1:
+class P1xP1(_Presented):
     """The quadric surface P1 x P1."""
 
-    _CODIMS = (0, 1, 1, 2)
+    prefix = "T"
+    params = ("q_v", "q_h")
+    words = ((0, 0), (1, 0), (0, 1), (1, 1))
+    index = 2
+    dimension = 2
 
-    @property
-    def basis_size(self) -> int:
-        return 4
+    def pairings(self, degree: tuple[int, int]) -> tuple[int, int]:
+        d, e = degree
+        return (e, d)
 
-    @property
-    def dimension(self) -> int:
-        return 2
-
-    def codim(self, index: int) -> int:
-        if not 0 <= index <= 3:
-            raise ValueError(f"basis index {index} out of range for P1xP1")
-        return self._CODIMS[index]
-
-    def basis_name(self, index: int) -> str:
-        return f"T{index}"
+    def degrees(self, total: int) -> list[tuple[int, int]]:
+        return [(d, total - d) for d in range(total + 1)]
 
     def __str__(self) -> str:
         return "P1xP1"
@@ -112,7 +136,7 @@ def total_codim(target: TargetSpace, exponents: ExponentVector) -> int:
         raise ValueError(
             f"exponent vector length {len(exponents)} does not match "
             f"basis size {target.basis_size} of {target}")
-    return sum(target.codim(i) * a for i, a in enumerate(exponents) if a)
+    return sum(sum(word) * a for word, a in zip(target.words, exponents) if a)
 
 
 @dataclass(frozen=True)
@@ -152,16 +176,11 @@ class InvariantKey:
 
 
 def parse_basis_class(target: TargetSpace, name: str) -> int:
-    """Parse a basis class name such as ``h2`` or ``T3`` into its index."""
+    """Parse a basis class name such as ``h2`` or ``T3`` into its index: the
+    target's prefix in either case, then ASCII decimal digits."""
     text = name.strip()
-    if isinstance(target, ProjectiveSpace):
-        if text and text[0] in "hH" and text[1:].isdigit():
-            idx = int(text[1:])
-            if 0 <= idx <= target.r:
-                return idx
-        raise ValueError(f"unknown basis class {name!r} for {target}")
-    if text and text[0] in "tT" and text[1:].isdigit():
-        idx = int(text[1:])
-        if 0 <= idx <= 3:
-            return idx
-    raise ValueError(f"unknown basis class {name!r} for P1xP1")
+    digits = text[1:]
+    if (text[:1].lower() == target.prefix.lower() and digits.isascii()
+            and digits.isdigit() and int(digits) < target.basis_size):
+        return int(digits)
+    raise ValueError(f"unknown basis class {name!r} for {target}")

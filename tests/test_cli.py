@@ -166,6 +166,14 @@ PARTITION_COUNT = ("partitions", "--marks", "6", "--degree", "2",
                    "--pins", "m1,m2:p1,p2", "--count")
 
 
+def small(target, i, j):
+    return ("qmul", "--target", target, "--small", i, j)
+
+
+def gw(target, degree, classes):
+    return ("gw", "--target", target, "--degree", degree, "--classes", classes)
+
+
 @pytest.mark.parametrize("args, fmt, expected", [
     (GW_COLLECTED, "csv", "value\n12\n"),
     (GW_COLLECTED, "json",
@@ -185,11 +193,47 @@ PARTITION_COUNT = ("partitions", "--marks", "6", "--degree", "2",
      '{"command": "partitions", "inputs": {"count": true, "degree": "2", '
      '"marks": 6, "pins": "m1,m2:p1,p2"}, '
      '"values": [{"decimal": "12", "rational": "12/1"}]}\n'),
+    (small("p1", "h1", "h1"), "plain", "q·h0\n"),
+    (small("p4", "h3", "h4"), "json",
+     '{"command": "qmul", "inputs": {"operands": ["h3", "h4"], '
+     '"small": true, "target": "p4"}, '
+     '"values": [{"element": "q\\u00b7h2"}]}\n'),
+    (small("p1xp1", "T1", "T3"), "plain", "q_v·T2\n"),
+    (small("p1xp1", "T2", "T2"), "csv", "value\nq_h·T0\n"),
+    (("potential", "--target", "p3"), "plain",
+     "1/6·x1^3 + x0·x1·x2 + 1/2·x0^2·x3\n"),
+    (("potential", "--target", "p1xp1"), "json",
+     '{"command": "potential", "inputs": {"order": null, "quantum": false, '
+     '"target": "p1xp1"}, "values": [{"series": '
+     '"x0\\u00b7x1\\u00b7x2 + 1/2\\u00b7x0^2\\u00b7x3"}]}\n'),
+    (gw("p1xp1", "0,0", "T0,T1,T2"), "plain", "1\n"),
+    (gw("p1xp1", "0,0", "T0,T1,T1"), "csv", "value\n0\n"),
+    (gw("p1xp1", "1", "T3"), "plain",
+     (2, "error: degree '1' does not match the target (expected d,e)\n")),
+    (gw("p2", "1,1", "h2:2"), "plain",
+     (2, "error: degree '1,1' does not match the target (expected d)\n")),
+    # A class index is ASCII digits: int() would reject the superscript.
+    (gw("p2", "1", "h²"), "plain",
+     (2, "error: unknown basis class 'h²' for P^2\n")),
 ])
 def test_record_stdout_is_pinned(args, fmt, expected):
+    # A string is the stdout of a run that exits 0; a pair is the exit
+    # code and stderr of a usage error, which prints nothing on stdout.
+    code, out, err = ((0, expected, "") if isinstance(expected, str)
+                      else (expected[0], "", expected[1]))
     result = run_cli(*args, "--format", fmt)
-    assert result.returncode == 0
-    assert result.stdout == expected
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+
+
+def test_partition_count_takes_the_closed_form(monkeypatch, capsys):
+    # 4 bidegree splits times 2^60 sides for the spare marks: far too many
+    # partitions to list, so --count must not enumerate them.
+    def enumerate_partitions(*args):
+        raise AssertionError("--count listed the partitions")
+    monkeypatch.setattr(cli, "enumerate_partitions", enumerate_partitions)
+    assert main(["partitions", "--marks", "64", "--degree", "1,1",
+                 "--pins", "m1,m2:p1,p2", "--count"]) == 0
+    assert capsys.readouterr().out == "4611686018427387904\n"
 
 
 def test_partitions_bad_degree_exits_2():

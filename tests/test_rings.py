@@ -124,7 +124,7 @@ def test_small_associativity_random_elements():
 def test_small_structure_constants_match_invariants():
     # dual route: the closed-form products against the three-point
     # invariants I_0 + q I_1 that define them
-    for r in range(2, 5):
+    for r in range(1, 7):
         target = ProjectiveSpace(r)
         for i in range(r + 1):
             for j in range(r + 1):
