@@ -26,25 +26,17 @@ all memoization is in-memory only.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from fractions import Fraction
 
+# Only what parsing, GW_CACHE and nd/nde need loads with the module; each
+# other subcommand imports its own layers, so a light call stays light.
 from . import surfaces
 from .exact import is_integer
-from .gw import collected_invariant, gw_invariant
-from .partitions import (MarkSet, count_pinned_partitions,
-                         enumerate_partitions)
-from .potentials import (classical_potential, gw_potential_p1,
-                         quantum_potential_p1x1,
-                         quantum_potential_p2_reduced, wdvv_residual_p1x1,
-                         wdvv_residual_p2)
-from .rings import BigQuantumElement, RingElement, big_qmul, small_qmul
-from .series import TruncatedSeries
-from .targets import (InvariantKey, P1XP1, ProjectiveSpace, TargetSpace,
-                      exponents_from_classes, parse_basis_class)
+from .targets import (ExponentVector, InvariantKey, P1XP1, ProjectiveSpace,
+                      TargetSpace, parse_basis_class)
 
 
 class UsageError(Exception):
@@ -80,8 +72,10 @@ def _parse_degree(target: TargetSpace, text: str):
     return degree if n > 1 else degree[0]
 
 
-def _parse_classes(target: TargetSpace, text: str) -> list[int]:
-    classes: list[int] = []
+def _parse_classes(target: TargetSpace, text: str) -> ExponentVector:
+    """Class counts such as ``h2:4,h1`` as an exponent vector, built from
+    the counts without listing each occurrence."""
+    exponents = [0] * target.basis_size
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -97,8 +91,8 @@ def _parse_classes(target: TargetSpace, text: str) -> list[int]:
             raise UsageError(f"bad class count in {chunk!r}")
         if repeat < 0:
             raise UsageError(f"class count must be >= 0 in {chunk!r}")
-        classes.extend([idx] * repeat)
-    return classes
+        exponents[idx] += repeat
+    return tuple(exponents)
 
 
 def _scalar_value(value) -> dict:
@@ -219,15 +213,14 @@ def _cmd_nde(args) -> dict:
 
 
 def _cmd_gw(args) -> dict:
+    from .gw import collected_invariant, gw_invariant
     target = _parse_target(args.target)
-    classes = _parse_classes(target, args.classes)
-    key_classes = InvariantKey.from_classes
+    exponents = _parse_classes(target, args.classes)
     if args.collected:
         if args.degree is not None:
             raise UsageError("--collected solves for the degree; "
                              "drop --degree")
-        value = collected_invariant(
-            target, exponents_from_classes(target, classes))
+        value = collected_invariant(target, exponents)
         inputs = {"target": args.target, "collected": True,
                   "classes": args.classes}
     else:
@@ -235,7 +228,7 @@ def _cmd_gw(args) -> dict:
             raise UsageError("provide --degree, or use --collected")
         degree = _parse_degree(target, args.degree)
         try:
-            value = gw_invariant(key_classes(target, degree, classes))
+            value = gw_invariant(InvariantKey(target, degree, exponents))
         except ValueError as exc:
             raise UsageError(str(exc))
         inputs = {"target": args.target, "degree": args.degree,
@@ -244,6 +237,7 @@ def _cmd_gw(args) -> dict:
 
 
 def _cmd_qmul(args) -> dict:
+    from .rings import BigQuantumElement, RingElement, big_qmul, small_qmul
     target = _parse_target(args.target)
     if len(args.operands) != 2:
         raise UsageError("qmul expects exactly two basis class operands")
@@ -269,6 +263,8 @@ def _cmd_qmul(args) -> dict:
 
 
 def _cmd_wdvv(args) -> dict:
+    from .potentials import wdvv_residual_p1x1, wdvv_residual_p2
+    from .series import TruncatedSeries
     target = _parse_target(args.target)
     if args.order < 0:
         raise UsageError(f"--order must be >= 0, got {args.order}")
@@ -290,6 +286,9 @@ def _cmd_wdvv(args) -> dict:
 
 
 def _cmd_potential(args) -> dict:
+    from .potentials import (classical_potential, gw_potential_p1,
+                             quantum_potential_p1x1,
+                             quantum_potential_p2_reduced)
     target = _parse_target(args.target)
     if args.order is not None and args.order < 0:
         raise UsageError(f"--order must be >= 0, got {args.order}")
@@ -322,6 +321,8 @@ def _cmd_potential(args) -> dict:
 
 
 def _cmd_partitions(args) -> dict:
+    from .partitions import (MarkSet, count_pinned_partitions,
+                             enumerate_partitions)
     if args.marks < 4:
         raise UsageError(f"--marks must be >= 4 to pin two pairs, "
                          f"got {args.marks}")
@@ -352,6 +353,7 @@ def _cmd_partitions(args) -> dict:
         partitions = enumerate_partitions(marks, degree, (pin_a, pin_b))
     except ValueError as exc:
         raise UsageError(str(exc))
+    import json  # the plain listing is one JSON object per line
     records = [p.to_json() for p in partitions]
     bidegree = records and "eA" in records[0]
     header = "A,B,dA,dB" + (",eA,eB" if bidegree else "")
@@ -456,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(record: dict, command: str, fmt: str, elapsed_ms: int | None) -> None:
     if fmt == "json":
+        import json
         payload = {"command": command, "inputs": record["inputs"],
                    "values": record["values"]}
         if elapsed_ms is not None:

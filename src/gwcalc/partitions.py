@@ -14,20 +14,24 @@ complements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import prod
 from typing import Iterator, Sequence
 
 from .exact import multinomial
+from .targets import _Record
 
 
-@dataclass(frozen=True)
-class MarkSet:
+class MarkSet(_Record):
     """An ordered set of distinct mark labels."""
-    labels: tuple[str, ...]
+    __match_args__ = ("labels",)
 
-    def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
+    def __init__(self, labels: tuple[str, ...]) -> None:
+        if len(set(labels)) != len(labels):
             raise ValueError("mark labels must be distinct")
+        object.__setattr__(self, "labels", labels)
+
+    def _values(self) -> tuple[tuple[str, ...]]:
+        return (self.labels,)
 
     @classmethod
     def standard(cls, n: int) -> "MarkSet":
@@ -50,22 +54,21 @@ class MarkSet:
         return iter(self.labels)
 
 
-@dataclass(frozen=True)
-class WeightedPartition:
+class WeightedPartition(_Record):
     """A two-twig boundary label: mark split (A, B) plus degree split.
 
     ``e_a``/``e_b`` are None for a plain degree and integers for a
     bidegree.  Stability demands at least two marks on a side whose total
     degree vanishes.
     """
-    a: tuple[str, ...]
-    b: tuple[str, ...]
-    d_a: int
-    d_b: int
-    e_a: int | None = None
-    e_b: int | None = None
+    __match_args__ = ("a", "b", "d_a", "d_b", "e_a", "e_b")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: tuple[str, ...], b: tuple[str, ...], d_a: int,
+                 d_b: int, e_a: int | None = None,
+                 e_b: int | None = None) -> None:
+        values = (a, b, d_a, d_b, e_a, e_b)
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
         if (self.e_a is None) != (self.e_b is None):
             raise ValueError("either both or neither bidegree side is set")
         for side, total in (("A", self.total_a), ("B", self.total_b)):
@@ -75,6 +78,9 @@ class WeightedPartition:
             raise ValueError("unstable: degree-zero side A has < 2 marks")
         if self.total_b == 0 and len(self.b) < 2:
             raise ValueError("unstable: degree-zero side B has < 2 marks")
+
+    def _values(self) -> tuple:
+        return (self.a, self.b, self.d_a, self.d_b, self.e_a, self.e_b)
 
     @property
     def total_a(self) -> int:
@@ -93,16 +99,26 @@ class WeightedPartition:
         return record
 
 
-def _degree_splits(degree) -> Iterator[tuple[int, int, int | None, int | None]]:
+def _degree_parts(degree) -> tuple[int, ...]:
+    """(d,) for a degree, (d, e) for a bidegree; a negative part is refused."""
     if isinstance(degree, int):
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
-        for da in range(degree + 1):
-            yield da, degree - da, None, None
-        return
+        return (degree,)
     d, e = degree
     if d < 0 or e < 0:
         raise ValueError(f"bidegree components must be >= 0, got {degree}")
+    return (d, e)
+
+
+def _degree_splits(degree) -> Iterator[tuple[int, int, int | None, int | None]]:
+    parts = _degree_parts(degree)
+    if len(parts) == 1:
+        (d,) = parts
+        for da in range(d + 1):
+            yield da, d - da, None, None
+        return
+    d, e = parts
     for da in range(d + 1):
         for ea in range(e + 1):
             yield da, d - da, ea, e - ea
@@ -141,12 +157,13 @@ def enumerate_partitions(marks: MarkSet, degree,
 def count_pinned_partitions(marks: MarkSet, degree,
                             pins: tuple[Sequence[str], Sequence[str]]) -> int:
     """Closed-form count of the pinned enumeration: with both pinned pairs
-    present, stability never bites, so the count factors as
-    (number of degree splits) x 2^(number of spare marks)."""
+    present, stability never bites, so the count factors as the number of
+    degree splits, (d + 1)(e + 1) or d + 1, times 2^(n - 4) for the n - 4
+    spare marks."""
     (i, j), (k, l) = pins
     if len({marks.index(p) for p in (i, j, k, l)}) != 4:
         raise ValueError("the four pinned marks must be distinct")
-    splits = sum(1 for _ in _degree_splits(degree))
+    splits = prod(part + 1 for part in _degree_parts(degree))
     return splits * 2 ** (marks.size - 4)
 
 

@@ -8,7 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from gwcalc import cli
+from gwcalc import cli, partitions
 from gwcalc.cli import main
 from gwcalc.series import parse_series
 from gwcalc.surfaces import n_d
@@ -230,7 +230,8 @@ def test_partition_count_takes_the_closed_form(monkeypatch, capsys):
     # partitions to list, so --count must not enumerate them.
     def enumerate_partitions(*args):
         raise AssertionError("--count listed the partitions")
-    monkeypatch.setattr(cli, "enumerate_partitions", enumerate_partitions)
+    monkeypatch.setattr(partitions, "enumerate_partitions",
+                        enumerate_partitions)
     assert main(["partitions", "--marks", "64", "--degree", "1,1",
                  "--pins", "m1,m2:p1,p2", "--count"]) == 0
     assert capsys.readouterr().out == "4611686018427387904\n"

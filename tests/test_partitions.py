@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -66,6 +67,23 @@ def test_partition_count_equals_closed_form():
             marks = MarkSet.standard(n)
             assert len(enumerate_partitions(marks, d, PINS)) == \
                 count_pinned_partitions(marks, d, PINS)
+
+
+def test_partition_count_needs_no_loop_over_the_splits():
+    # (d+1)(e+1) degree splits times 2^(n-4): 9 million splits here, which
+    # counting one by one took over a second.
+    marks = MarkSet.standard(6)
+    started = time.perf_counter()
+    assert count_pinned_partitions(marks, (3000, 3000), PINS) == 3001 ** 2 * 4
+    assert count_pinned_partitions(marks, 3000, PINS) == 3001 * 4
+    assert time.perf_counter() - started < 0.5
+    for degree, message in ((-1, "degree must be >= 0, got -1"),
+                            ((2, -1), r"bidegree components must be >= 0, "
+                                      r"got \(2, -1\)")):
+        with pytest.raises(ValueError, match=message):
+            count_pinned_partitions(marks, degree, PINS)
+    with pytest.raises(ValueError, match="four pinned marks must be distinct"):
+        count_pinned_partitions(marks, 1, (("m1", "m1"), ("p1", "p2")))
 
 
 def test_bidegree_enumeration():
