@@ -29,12 +29,10 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 
 # Only what parsing, GW_CACHE and nd/nde need loads with the module; each
 # other subcommand imports its own layers, so a light call stays light.
 from . import surfaces
-from .exact import is_integer
 from .targets import (ExponentVector, InvariantKey, P1XP1, ProjectiveSpace,
                       TargetSpace, parse_basis_class)
 
@@ -96,23 +94,19 @@ def _parse_classes(target: TargetSpace, text: str) -> ExponentVector:
 
 
 def _scalar_value(value) -> dict:
-    frac = Fraction(value)
-    record = {"rational": f"{frac.numerator}/{frac.denominator}"}
-    if is_integer(frac):
-        record["decimal"] = str(frac.numerator)
+    """An int or a ``Fraction``; both carry a numerator and a denominator,
+    and both print as the integer when the denominator is one."""
+    record = {"rational": f"{value.numerator}/{value.denominator}"}
+    if value.denominator == 1:
+        record["decimal"] = str(value)
     return record
-
-
-def _scalar_text(value) -> str:
-    frac = Fraction(value)
-    return str(frac.numerator) if is_integer(frac) else str(frac)
 
 
 def _scalar_record(inputs: dict, header: str, row: str, value) -> dict:
     """One exact value: its text in plain output, ``row`` under ``header``
     in CSV."""
     return {"inputs": inputs, "values": [_scalar_value(value)],
-            "plain": _scalar_text(value), "csv": [header, row]}
+            "plain": str(value), "csv": [header, row]}
 
 
 def _text_record(inputs: dict, kind: str, text: str) -> dict:
@@ -233,7 +227,7 @@ def _cmd_gw(args) -> dict:
             raise UsageError(str(exc))
         inputs = {"target": args.target, "degree": args.degree,
                   "classes": args.classes}
-    return _scalar_record(inputs, "value", _scalar_text(value), value)
+    return _scalar_record(inputs, "value", str(value), value)
 
 
 def _cmd_qmul(args) -> dict:
@@ -384,7 +378,74 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _nd_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--upto", action="store_true",
+                   help="print the whole table 1..d")
+
+
+def _nde_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=int)
+    p.add_argument("--e", type=int)
+    p.add_argument("--upto", type=int,
+                   help="print the full matrix up to this bound")
+
+
+def _gw_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--target", required=True,
+                   help="p1, p2, p3, ..., or p1xp1")
+    p.add_argument("--degree", help="integer, or d,e for p1xp1")
+    p.add_argument("--classes", required=True,
+                   help="e.g. h2:4 or T3:3,T1:1")
+    p.add_argument("--collected", action="store_true",
+                   help="sum over the degree the dimension gate selects")
+
+
+def _qmul_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--target", required=True)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--small", action="store_true", default=True)
+    group.add_argument("--big", action="store_true")
+    p.add_argument("--order", type=int, help="truncation order for --big")
+    p.add_argument("operands", nargs=2, help="two basis classes, e.g. h1 h2")
+
+
+def _wdvv_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--target", required=True, help="p2 or p1xp1")
+    p.add_argument("--order", type=int, required=True)
+
+
+def _potential_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--target", required=True)
+    p.add_argument("--order", type=int)
+    p.add_argument("--quantum", action="store_true")
+
+
+def _partitions_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--marks", type=int, required=True)
+    p.add_argument("--degree", required=True, help="d or d,e")
+    p.add_argument("--pins", required=True, help="i,j:k,l")
+    p.add_argument("--count", action="store_true")
+
+
+# name -> (help line, arguments), in the order ``gwcalc --help`` lists them
+_SUBCOMMANDS = {
+    "nd": ("rational plane curve counts N_d", _nd_arguments),
+    "nde": ("bidegree curve counts N_(d,e) on P1xP1", _nde_arguments),
+    "gw": ("genus-0 Gromov-Witten invariants", _gw_arguments),
+    "qmul": ("quantum products", _qmul_arguments),
+    "wdvv": ("verify a WDVV residual vanishes", _wdvv_arguments),
+    "potential": ("classical or quantum potentials", _potential_arguments),
+    "partitions": ("stable weighted partitions for pinned boundary "
+                   "divisors", _partitions_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with ``command`` one that builds only that
+    subcommand's arguments.  The other subcommands are still registered
+    with their help line, so the top-level help and the invalid-choice
+    message are the same either way."""
     parser = argparse.ArgumentParser(
         prog="gwcalc",
         description="Exact rational curve counts, Gromov-Witten invariants "
@@ -401,58 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--timing", action="store_true",
                         default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("nd", help="rational plane curve counts N_d",
-                       parents=[common])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--upto", action="store_true",
-                   help="print the whole table 1..d")
-
-    p = sub.add_parser("nde", help="bidegree curve counts N_(d,e) on P1xP1",
-                       parents=[common])
-    p.add_argument("--d", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--upto", type=int,
-                   help="print the full matrix up to this bound")
-
-    p = sub.add_parser("gw", help="genus-0 Gromov-Witten invariants",
-                       parents=[common])
-    p.add_argument("--target", required=True,
-                   help="p1, p2, p3, ..., or p1xp1")
-    p.add_argument("--degree", help="integer, or d,e for p1xp1")
-    p.add_argument("--classes", required=True,
-                   help="e.g. h2:4 or T3:3,T1:1")
-    p.add_argument("--collected", action="store_true",
-                   help="sum over the degree the dimension gate selects")
-
-    p = sub.add_parser("qmul", help="quantum products",
-                       parents=[common])
-    p.add_argument("--target", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--small", action="store_true", default=True)
-    group.add_argument("--big", action="store_true")
-    p.add_argument("--order", type=int, help="truncation order for --big")
-    p.add_argument("operands", nargs=2, help="two basis classes, e.g. h1 h2")
-
-    p = sub.add_parser("wdvv", help="verify a WDVV residual vanishes",
-                       parents=[common])
-    p.add_argument("--target", required=True, help="p2 or p1xp1")
-    p.add_argument("--order", type=int, required=True)
-
-    p = sub.add_parser("potential", help="classical or quantum potentials",
-                       parents=[common])
-    p.add_argument("--target", required=True)
-    p.add_argument("--order", type=int)
-    p.add_argument("--quantum", action="store_true")
-
-    p = sub.add_parser("partitions",
-                       help="stable weighted partitions for pinned boundary "
-                            "divisors",
-                       parents=[common])
-    p.add_argument("--marks", type=int, required=True)
-    p.add_argument("--degree", required=True, help="d or d,e")
-    p.add_argument("--pins", required=True, help="i,j:k,l")
-    p.add_argument("--count", action="store_true")
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=help_line,
+                                         parents=[common]))
+        else:
+            sub.add_parser(name, help=help_line, add_help=False)
     return parser
 
 
@@ -475,8 +490,11 @@ def main(argv: list[str] | None = None) -> int:
     # lift it for this process so they print and round-trip through GW_CACHE.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the subcommand the arguments name gets its own arguments built.
+    command = next((arg for arg in argv if arg in _SUBCOMMANDS), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return _run(args, os.environ.get("GW_CACHE"))
     except Exception as exc:

@@ -14,9 +14,26 @@ concurrently.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-Rational = Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+def __getattr__(name: str):
+    # ``Rational`` (an alias of ``Fraction``) and ``Fraction`` load
+    # ``fractions`` and ``decimal`` on first access only, which a call that
+    # needs no rational never makes.
+    if name not in ("Fraction", "Rational"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+    globals().update(Fraction=Fraction, Rational=Fraction)
+    return Fraction
+
+
+def __dir__() -> list[str]:
+    names = set(globals()) | {"Fraction", "Rational"}
+    return sorted(names - {"TYPE_CHECKING", "__getattr__", "__dir__"})
 
 
 def binomial(n: int, k: int) -> int:

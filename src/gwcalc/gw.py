@@ -25,10 +25,11 @@ the identity map: I_1() = 1.  On P^r, r >= 3, the reconstruction
 recursion (``_reconstruct``) expands a pair of equivalent boundary
 divisors by the splitting formula, where the unknown appears once with
 coefficient one.  The gate is checked at the entry only: in each split it
-fixes the one live degree and gluing class of each side, so a side is
-reduced by arithmetic alone (``_resolve``).  The recursion runs on an
-explicit stack of generator frames (``_reconstructed``), so its depth is
-bounded by memory, not by the interpreter's recursion limit.
+fixes the one live degree and gluing class of each side, so the split loop
+resolves both sides' marks by arithmetic on that slot and probes the memo
+at most once per side.  The recursion runs on an explicit stack of
+generator frames (``_reconstructed``), so its depth is bounded by memory,
+not by the interpreter's recursion limit.
 
 Every target runs this path in one integer function (``_invariant``),
 which the potentials call directly; ``Fraction`` appears only in the
@@ -176,8 +177,11 @@ def _invariant(target: TargetSpace, degree: Degree, exps: ExponentVector
         return mult * n_de(*degree)
     if target.r == 2:
         return mult * n_d(degree)
-    value, key = _resolve(target.r, degree, exps, ())
-    return mult * value * (_reconstructed(key) if key else 1)
+    if sum(exps) < 3:  # a line through two points
+        return mult
+    key = (target.r, degree, exps)
+    value = _PR_CACHE.get(key)
+    return mult * (_reconstructed(key) if value is None else value)
 
 
 def _reconstructed(key: tuple[int, int, ExponentVector]) -> int:
@@ -224,57 +228,83 @@ def _reconstruct(r: int, d: int, exps: ExponentVector):
     i = r - c, and its factor I_0(h^1.h^(c-1).h^(r-c)) equals one, so that
     term *is* the unknown invariant; every other term only involves
     invariants of lower degree, lower minimal codimension or fewer marks.
+
+    The gate is met on each side, so its three marks resolve by arithmetic:
+    in degree zero the side is one exactly when S (or S') is empty; in
+    positive degree an h^0 mark gives zero, an h^1 mark a factor of the
+    side's degree, and any other mark adds one to an exponent.  A side left
+    with fewer than three marks is a line through two points, value one;
+    any other side is read from the memo, or yielded when the memo lacks it.
     """
     c, *_, b2, b1 = [i for i in range(2, r + 1) for _ in range(exps[i])]
     free = [a - (i == c) - (i == b1) - (i == b2) for i, a in enumerate(exps)]
-    splits = [((), (), 1, 0)]  # (S, S', labeled mark subsets, w)
+    n_free = sum(free)
+    splits = [((), (), 1, 0, 0)]  # (S, S', labeled mark subsets, w, |S|)
     for k, count in enumerate(free):
         splits = [(sub + (s,), comp + (count - s,), ways * comb(count, s),
-                   w + (k - 1) * s)
-                  for sub, comp, ways, w in splits for s in range(count + 1)]
+                   w + (k - 1) * s, n + s)
+                  for sub, comp, ways, w, n in splits
+                  for s in range(count + 1)]
     # (x, y, sign): A holds h^1.h^x, B holds h^y.h^b2, the left side counts -1
     both = ((c - 1, b1, -1), (b1, c - 1, 1))
+    memo = _PR_CACHE.get
     total = 0
-    for sub, comp, ways, w in splits:
+    for sub, comp, ways, w, n in splits:
         for x, y, sign in both if w else both[1:]:
             da, j = divmod(w + x + 1, r + 1)
-            if da > d:
+            db = d - da
+            if db < 0:
                 continue
-            fa, key = _resolve(r, da, sub, (1, x, r - j))
-            if key:
-                fa *= yield key
-            if fa:
-                fb, key = _resolve(r, d - da, comp, (y, b2, j))
-                if key:
-                    fb *= yield key
-                total += sign * ways * fa * fb
+            i = r - j
+            if not da:  # I_0(h^1.h^x.S.h^i)
+                if n:
+                    continue
+                fa = 1
+            elif not i:  # h^0 in positive degree
+                continue
+            else:  # the h^1 mark gives da
+                fa, marks, key = da, n, list(sub)
+                if x > 1:
+                    key[x] += 1
+                    marks += 1
+                else:
+                    fa *= da
+                if i > 1:
+                    key[i] += 1
+                    marks += 1
+                else:
+                    fa *= da
+                if marks > 2:
+                    key = (r, da, tuple(key))
+                    value = memo(key)
+                    fa *= (yield key) if value is None else value
+                    if not fa:
+                        continue
+            if not db:  # I_0(h^y.h^b2.S'.h^j)
+                if n < n_free:
+                    continue
+                fb = 1
+            elif not j:  # h^0 in positive degree
+                continue
+            else:  # the h^b2 mark adds one
+                fb, marks, key = 1, n_free - n + 1, list(comp)
+                key[b2] += 1
+                if y > 1:
+                    key[y] += 1
+                    marks += 1
+                else:
+                    fb = db
+                if j > 1:
+                    key[j] += 1
+                    marks += 1
+                else:
+                    fb *= db
+                if marks > 2:
+                    key = (r, db, tuple(key))
+                    value = memo(key)
+                    fb *= (yield key) if value is None else value
+            total += sign * ways * fa * fb
     return total
-
-
-def _resolve(r: int, d: int, base: ExponentVector, marks: tuple[int, ...]
-             ) -> tuple[int, tuple | None]:
-    """(value, None), or (multiplier, stripped key) when the memo lacks
-    the key, for ``base`` with ``marks`` added: a key that passed the gate
-    with its h^0 and h^1 classes on ``marks`` only.  In degree zero just
-    the marks may remain, h^0 gives 0 and each h^1 a factor d.  Fewer than
-    three marks leave degree one only, the line through two points or on
-    P^1 the identity map, where the invariant is one."""
-    if not d:
-        return int(not any(base)), None
-    exps = list(base)
-    mult = 1
-    for m in marks:
-        if m > 1:
-            exps[m] += 1
-        elif m:
-            mult *= d
-        else:
-            return 0, None
-    if sum(exps) < 3:
-        return mult, None
-    key = (r, d, tuple(exps))
-    value = _PR_CACHE.get(key)
-    return (mult, key) if value is None else (mult * value, None)
 
 
 def collected_invariant(target: TargetSpace, exponents: ExponentVector) -> Fraction:

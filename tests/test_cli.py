@@ -465,3 +465,53 @@ def test_public_exports_are_pinned():
         "wdvv_residual_p2",
     ]
     assert all(hasattr(gwcalc, name) for name in gwcalc.__all__)
+
+
+# Per subcommand: argument lists that parse, and ones that argparse rejects.
+PARSE_GRID = {
+    "nd": [["--d", "3"], ["--d", "3", "--upto"], ["--up", "--d", "2"],
+           ["--d", "x"], [], ["--d", "3", "extra"]],
+    "nde": [["--d", "1", "--e", "2"], ["--upto", "3"], ["--upto", "x"], []],
+    "gw": [["--target", "p3", "--degree", "2", "--classes", "h2:8"],
+           ["--target", "p2", "--collected", "--classes", "h2:8"],
+           ["--classes", "h2"], ["--target", "p2", "--bogus"]],
+    "qmul": [["--target", "p2", "h1", "h2"],
+             ["--target", "p2", "--big", "--order", "3", "h1", "h2"],
+             ["--target", "p2", "--small", "--big", "h1", "h2"],
+             ["--target", "p2", "h1"]],
+    "wdvv": [["--target", "p2", "--order", "5"], ["--target", "p2"],
+             ["--order", "x", "--target", "p2"]],
+    "potential": [["--target", "p3"], ["--target", "p2", "--quantum",
+                                       "--order", "4"], ["--quantum"]],
+    "partitions": [["--marks", "5", "--degree", "1", "--pins", "m1,m2:p1,p2"],
+                   ["--marks", "5", "--degree", "1,1", "--pins",
+                    "m1,m2:p1,p2", "--count"], ["--marks", "5"]],
+}
+
+
+def _parse(parser, argv, capsys):
+    """The namespace, or argparse's exit code, with what it printed."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", sorted(PARSE_GRID))
+def test_a_parser_for_one_subcommand_parses_like_the_full_one(command,
+                                                              capsys):
+    # ``main`` builds only the named subcommand's arguments; the help texts,
+    # the namespaces and the usage errors must be those of the full parser.
+    full, lazy = cli.build_parser(), cli.build_parser(command)
+    assert lazy.format_help() == full.format_help()
+    grid = [[command, "--help"], ["bogus"], []]
+    for rest in PARSE_GRID[command]:
+        grid += [[command, *rest], ["--format", "json", command, *rest],
+                 [command, *rest, "--timing", "--format", "csv"]]
+    for argv in grid:
+        assert _parse(lazy, argv, capsys) == _parse(full, argv, capsys), argv
+
+
+def test_the_parse_grid_covers_every_subcommand():
+    assert sorted(PARSE_GRID) == sorted(cli._COMMANDS)

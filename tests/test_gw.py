@@ -389,12 +389,16 @@ def reference_invariant(r, d, exps, memo):
     return mult * memo[(d, exps)]
 
 
-@pytest.mark.parametrize("r, top", [(3, 4), (4, 3), (5, 2)])
+@pytest.mark.parametrize("r, top", [(3, 4), (3, 5), (4, 3), (4, 4), (5, 2)])
 def test_one_slot_per_split_matches_the_full_scan(r, top):
-    # The engine solves each side's degree and gluing class from the gate;
-    # the reference scans them all.  Every admissible stripped key of P^r
+    # The engine solves each side's degree and gluing class from the gate
+    # and resolves the sides' marks by arithmetic; the reference scans every
+    # slot and strips each side key.  Every admissible stripped key of P^r
     # up to degree ``top`` with three or more marks is compared, and so is
-    # every memo entry the engine wrote on the way.
+    # every memo entry the engine wrote on the way, which must be a stripped
+    # key: positive degree, no h^0 or h^1 class, at least three marks.
+    # These sizes reach sides with an h^1 mark at c - 1 = 1 and gluing
+    # classes h^0 and h^1.
     gw_module.clear_caches()
     memo = {}
     checked = 0
@@ -406,6 +410,8 @@ def test_one_slot_per_split_matches_the_full_scan(r, top):
                         reference_invariant(r, d, base, memo), (r, d, base)
                     checked += 1
         for (rr, d, exps), value in gw_module._PR_CACHE.items():
+            assert rr == r and d >= 1 and len(exps) == r + 1, (rr, d, exps)
+            assert exps[0] == exps[1] == 0 and sum(exps) >= 3, (d, exps)
             assert value == reference_invariant(rr, d, exps, memo)
     finally:
         gw_module.clear_caches()

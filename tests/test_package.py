@@ -135,8 +135,9 @@ def _modules_loaded_by(code, *argv):
 # What ``python -m gwcalc ...`` runs.
 AS_MAIN = ("import runpy\n"
            "runpy.run_module('gwcalc', run_name='__main__', alter_sys=True)")
-HEAVY = {"dataclasses", "inspect", "json", "gwcalc.gw", "gwcalc.potentials",
-         "gwcalc.rings", "gwcalc.series", "gwcalc.partitions"}
+HEAVY = {"dataclasses", "inspect", "json", "fractions", "decimal", "gwcalc.gw",
+         "gwcalc.potentials", "gwcalc.rings", "gwcalc.series",
+         "gwcalc.partitions"}
 
 
 @pytest.mark.parametrize("argv, stdout", [
@@ -167,3 +168,21 @@ def test_huge_class_counts_answer_at_once(argv, capsys):
     assert main(argv) == 0
     assert time.perf_counter() - started < 0.5
     assert capsys.readouterr() == ("0\n", "")
+
+
+def test_exact_loads_fractions_on_first_use_of_rational():
+    script = ("import sys, gwcalc.exact as exact\n"
+              "print('fractions' in sys.modules)\n"
+              "print(*dir(exact))\n"
+              "print(exact.Rational is exact.Fraction, exact.Rational.__module__,"
+              " 'fractions' in sys.modules)")
+    loaded, listed, resolved = run_python("-c", script).stdout.splitlines()
+    assert loaded == "False"
+    assert listed.split() == [
+        "Fraction", "Rational", "__builtins__", "__cached__", "__doc__",
+        "__file__", "__loader__", "__name__", "__package__", "__spec__",
+        "annotations", "as_integer", "binomial", "factorial", "is_integer",
+        "math", "multinomial"]
+    assert resolved == "True fractions True"
+    with pytest.raises(AttributeError, match="no attribute 'Decimal'"):
+        gwcalc.exact.Decimal
