@@ -45,12 +45,22 @@ class VerificationError(Exception):
     """A checked identity failed to hold; maps to exit code 1."""
 
 
+# The basis, the exponent vectors and the product tables of P^r grow
+# linearly in r before any gate runs: at r = 4,000,000 a one-line answer
+# takes seconds and hundreds of megabytes, at this bound no visible time.
+_MAX_R = 10000
+
+
 def _parse_target(text: str) -> TargetSpace:
     name = text.strip().lower()
     if name in ("p1xp1", "p1x1"):
         return P1XP1
-    if name.startswith("p") and name[1:].isdigit():
-        r = int(name[1:])
+    digits = name[1:]
+    if name.startswith("p") and digits.isascii() and digits.isdigit():
+        r = int(digits)
+        if r > _MAX_R:
+            raise UsageError(f"target {text!r} is too large "
+                             f"(P^r is supported up to r = {_MAX_R})")
         if r >= 1:
             return ProjectiveSpace(r)
     raise UsageError(f"unknown target {text!r} (use p1, p2, ..., or p1xp1)")
@@ -93,20 +103,21 @@ def _parse_classes(target: TargetSpace, text: str) -> ExponentVector:
     return tuple(exponents)
 
 
-def _scalar_value(value) -> dict:
-    """An int or a ``Fraction``; both carry a numerator and a denominator,
-    and both print as the integer when the denominator is one."""
-    record = {"rational": f"{value.numerator}/{value.denominator}"}
-    if value.denominator == 1:
-        record["decimal"] = str(value)
-    return record
+def _integer_value(text: str) -> dict:
+    """The JSON value of an integer whose decimal text is ``text``."""
+    return {"rational": f"{text}/1", "decimal": text}
 
 
-def _scalar_record(inputs: dict, header: str, row: str, value) -> dict:
-    """One exact value: its text in plain output, ``row`` under ``header``
-    in CSV."""
-    return {"inputs": inputs, "values": [_scalar_value(value)],
-            "plain": str(value), "csv": [header, row]}
+def _scalar_record(inputs: dict, header: str, prefix: str, value) -> dict:
+    """One exact value, an int or a ``Fraction``: its text in plain output,
+    and ``prefix`` followed by it as the row under ``header`` in CSV.  Both
+    print as the integer when the denominator is one, and as
+    ``numerator/denominator`` otherwise."""
+    text = str(value)
+    scalar = (_integer_value(text) if value.denominator == 1
+              else {"rational": text})
+    return {"inputs": inputs, "values": [scalar], "plain": text,
+            "csv": [header, prefix + text]}
 
 
 def _text_record(inputs: dict, kind: str, text: str) -> dict:
@@ -169,16 +180,16 @@ def _cmd_nd(args) -> dict:
     if args.d < 1:
         raise UsageError(f"--d must be >= 1, got {args.d}")
     if args.upto:
-        rows = [(d, surfaces.n_d(d)) for d in range(1, args.d + 1)]
+        # Each count is converted to decimal once, for all three formats.
+        texts = [str(surfaces.n_d(d)) for d in range(1, args.d + 1)]
         return {
             "inputs": {"d": args.d, "upto": True},
-            "values": [_scalar_value(v) for _, v in rows],
-            "plain": "\n".join(f"{d}\t{v}" for d, v in rows),
-            "csv": ["d,N_d"] + [f"{d},{v}" for d, v in rows],
+            "values": [_integer_value(t) for t in texts],
+            "plain": "\n".join(f"{d}\t{t}" for d, t in enumerate(texts, 1)),
+            "csv": ["d,N_d"] + [f"{d},{t}" for d, t in enumerate(texts, 1)],
         }
-    value = surfaces.n_d(args.d)
     return _scalar_record({"d": args.d, "upto": False}, "d,N_d",
-                          f"{args.d},{value}", value)
+                          f"{args.d},", surfaces.n_d(args.d))
 
 
 def _cmd_nde(args) -> dict:
@@ -201,9 +212,8 @@ def _cmd_nde(args) -> dict:
     if args.d < 0 or args.e < 0 or args.d + args.e < 1:
         raise UsageError(
             f"bidegree ({args.d}, {args.e}) is not defined (need d+e >= 1)")
-    value = surfaces.n_de(args.d, args.e)
     return _scalar_record({"d": args.d, "e": args.e}, "d,e,N_de",
-                          f"{args.d},{args.e},{value}", value)
+                          f"{args.d},{args.e},", surfaces.n_de(args.d, args.e))
 
 
 def _cmd_gw(args) -> dict:
@@ -227,7 +237,7 @@ def _cmd_gw(args) -> dict:
             raise UsageError(str(exc))
         inputs = {"target": args.target, "degree": args.degree,
                   "classes": args.classes}
-    return _scalar_record(inputs, "value", str(value), value)
+    return _scalar_record(inputs, "value", "", value)
 
 
 def _cmd_qmul(args) -> dict:
@@ -343,7 +353,7 @@ def _cmd_partitions(args) -> dict:
     try:
         if args.count:  # the closed form, not a list of 2^(marks-4) entries
             value = count_pinned_partitions(marks, degree, (pin_a, pin_b))
-            return _scalar_record(inputs, "count", str(value), value)
+            return _scalar_record(inputs, "count", "", value)
         partitions = enumerate_partitions(marks, degree, (pin_a, pin_b))
     except ValueError as exc:
         raise UsageError(str(exc))

@@ -12,29 +12,25 @@ appears exactly once, with coefficient one, in the term where one twig
 carries degree zero and both line conditions; the implementation moves
 every other term to the right-hand side.
 
-Each recursion has one bottom-up filler: ``_fill_nd`` fills its table in
-rising degree, ``_fill_nde`` in rising d + e, so no call stack grows with
-the degree.  Every new entry gets one binomial row, built incrementally,
-and every unordered split of its degree is visited once: the symmetry
-C(n, k) = C(n, n - k) turns the binomials of a split's mirror into entries
-of the same row, so the two terms share one product of lower counts.
+Each recursion is one function, its bottom-up filler: ``_fill_nd`` fills
+its table in rising degree, ``_fill_nde`` in rising d + e, so no call
+stack grows with the degree.  Every new entry gets one binomial row, built
+incrementally, and every unordered split of its degree is visited once:
+the symmetry C(n, k) = C(n, n - k) turns the binomials of a split's mirror
+into entries of the same row, so the two terms share one product of lower
+counts.  A filler also checks the degree and answers the base cases, and
+fills whatever table it is handed: the public counts differ only in that
+table, the shared memo for ``n_d`` and ``n_de`` and a caller's dict for
+the raw variants.
 
 The memo tables are write-once per key and the functions are deterministic,
-so concurrent callers always observe identical values.  ``n_de`` normalizes
-its cache key to (min, max) since the count is symmetric in the bidegree;
-the raw variants run the same fillers on a private table, ``n_de_raw``
-keyed in the given orientation.  Pairing a split with its mirror makes each
-summed weight unchanged when the bidegree is transposed, so ``n_de_raw(e,
-d)`` adds up the same terms as ``n_de_raw(d, e)``: the two orientations
-agree by construction and do not check each other.  The test suite checks
-both against an unpaired reference recursion instead.
+so concurrent callers always observe identical values.  Every bidegree
+table is keyed by (min, max), since the count is symmetric in the
+bidegree.  The test suite checks both orientations against an unpaired
+reference recursion, whose sums for (d, e) and (e, d) differ.
 """
 
 from __future__ import annotations
-
-from typing import Callable
-
-from .targets import P1xP1, ProjectiveSpace, TargetSpace
 
 _ND_CACHE: dict[int, int] = {}
 _NDE_CACHE: dict[tuple[int, int], int] = {}
@@ -90,8 +86,13 @@ def _fill_nd(d: int, table: dict[int, int]) -> int:
     C(3k-4, 3b-2) = C(3k-4, 3a-2) and C(3k-4, 3b-1) = C(3k-4, 3a-3), the
     terms for a and b share one product N_a N_b, so each unordered split
     is visited once; the split a = b is its own mirror and counted once.
-    Entries already in ``table`` are reused, missing ones are written.
+    Entries already in ``table`` are reused, missing ones are written;
+    N_1 = 1 is never read from or written to it.
     """
+    if d < 1:
+        raise ValueError(f"plane curve count needs degree >= 1, got {d}")
+    if d == 1:
+        return 1
     value = table.get(d)
     if value is not None:
         return value
@@ -117,18 +118,16 @@ def _fill_nd(d: int, table: dict[int, int]) -> int:
     return counts[d]
 
 
-def _oriented_key(d: int, e: int) -> tuple[int, int]:
-    return d, e
+def _fill_nde(d: int, e: int, table: dict[tuple[int, int], int]) -> int:
+    """N_(d,e) from the bidegree recursion, filling ``table[(p, q)]`` with
+    p <= q for every entry of the box up to (min(d, e), max(d, e)) in
+    rising p + q.
 
-
-def _symmetric_key(d: int, e: int) -> tuple[int, int]:
-    return (d, e) if d <= e else (e, d)
-
-
-def _fill_nde(d: int, e: int, table: dict[tuple[int, int], int],
-              key: Callable[[int, int], tuple[int, int]]) -> int:
-    """N_(d,e) for d, e >= 1 from the bidegree recursion, filling
-    ``table[key(p, q)]`` for 1 <= p <= d, 1 <= q <= e in rising p + q.
+    The count is symmetric in the bidegree, so the box is taken with its
+    shorter side first and each entry with p > q is read back from its
+    mirror (q, p): that lies in the box with the same degree sum and a
+    smaller first index.  On the axes the count is the rule count, never
+    stored: N_(0,1) = N_(1,0) = 1 and N_(0,k) = N_(k,0) = 0 for k > 1.
 
     The sum for (p, q) runs over splits A + B = (p, q) with both parts
     nonzero.  With s = |A| = d_A + e_A and m = 2(p+q) - 4, the split
@@ -139,16 +138,21 @@ def _fill_nde(d: int, e: int, table: dict[tuple[int, int], int],
     where <A, B> = d_A e_B + e_A d_B is the intersection pairing.  Since
     C(m, 2|B|-2) = C(m, 2s-2) and C(m, 2|B|-1) = C(m, 2s-3), the terms of
     (A, B) and (B, A) share one product N_A N_B and are summed together;
-    the split A = B is counted once.  The paired weight is unchanged when
-    the bidegree is transposed.  Splits with a zero count (a part of
+    the split A = B is counted once.  Splits with a zero count (a part of
     bidegree (0, k) or (k, 0) with k > 1, or the undefined (0, 0)) are
     skipped before any product is formed.
-
-    With ``_symmetric_key`` and d <= e, the mirror (q, p) of an entry
-    with p > q lies in the box with the same degree sum and a smaller
-    first index, so it is read back rather than recomputed.
     """
-    value = table.get(key(d, e))
+    if d < 0 or e < 0:
+        raise ValueError(f"bidegree components must be >= 0, got ({d}, {e})")
+    if d + e < 1:
+        raise ValueError("the bidegree (0, 0) count is not defined")
+    if d > e:
+        d, e = e, d
+    if d == 0:
+        # A bidegree (0, k) curve is a union of k rules, fixed by k points;
+        # 2k - 1 > k general points are incompatible unless k = 1.
+        return 1 if e == 1 else 0
+    value = table.get((d, e))
     if value is not None:
         return value
     # Rule counts on the axes; the (0, 0) corner is never a factor.
@@ -159,7 +163,7 @@ def _fill_nde(d: int, e: int, table: dict[tuple[int, int], int],
         row = None
         for p in range(max(1, total - e), min(d, total - 1) + 1):
             q = total - p
-            slot = key(p, q)
+            slot = (p, q) if p <= q else (q, p)
             value = table.get(slot)
             if value is None:
                 if row is None:
@@ -191,73 +195,40 @@ def _fill_nde(d: int, e: int, table: dict[tuple[int, int], int],
 def n_d_raw(d: int, cache: dict[int, int] | None = None) -> int:
     """Degree-d plane curve count filled into ``cache`` instead of the
     shared memo table; ``cache=None`` starts from a fresh table."""
-    if d < 1:
-        raise ValueError(f"plane curve count needs degree >= 1, got {d}")
-    if d == 1:
-        return 1
     return _fill_nd(d, {} if cache is None else cache)
 
 
 def n_d(d: int) -> int:
     """Number of rational degree-d plane curves through 3d-1 general points."""
-    if d < 1:
-        raise ValueError(f"plane curve count needs degree >= 1, got {d}")
-    if d == 1:
-        return 1
     return _fill_nd(d, _ND_CACHE)
-
-
-def _nde_base(d: int, e: int) -> int | None:
-    """Base values on the axes; None when (d, e) needs the recursion."""
-    if d < 0 or e < 0:
-        raise ValueError(f"bidegree components must be >= 0, got ({d}, {e})")
-    if d + e < 1:
-        raise ValueError("the bidegree (0, 0) count is not defined")
-    if d == 0 or e == 0:
-        # A bidegree (0, k) curve is a union of k rules, fixed by k points;
-        # 2k - 1 > k general points are incompatible unless k = 1.
-        return 1 if d + e == 1 else 0
-    return None
 
 
 def n_de_raw(d: int, e: int, cache: dict[tuple[int, int], int] | None = None) -> int:
     """Bidegree-(d, e) count filled into ``cache`` instead of the shared
-    memo table; ``cache=None`` starts from a fresh table.
-
-    Every entry of the box up to (d, e) is stored under its own (p, q) key,
-    with no (p, q) <-> (q, p) normalization.  The paired split weights are
-    symmetric under transposition, so ``n_de_raw(e, d)`` sums the same terms
-    as ``n_de_raw(d, e)`` and is not an independent check of it.
-    """
-    base = _nde_base(d, e)
-    if base is not None:
-        return base
-    return _fill_nde(d, e, {} if cache is None else cache, _oriented_key)
+    memo table; ``cache=None`` starts from a fresh table.  The entries go
+    under the same (min, max) keys as in the shared table."""
+    return _fill_nde(d, e, {} if cache is None else cache)
 
 
 def n_de(d: int, e: int) -> int:
     """Number of rational bidegree-(d, e) curves in P1 x P1 through
-    2d+2e-1 general points.  Cached under the symmetry-normalized key."""
-    base = _nde_base(d, e)
-    if base is not None:
-        return base
-    return _fill_nde(min(d, e), max(d, e), _NDE_CACHE, _symmetric_key)
+    2d+2e-1 general points."""
+    return _fill_nde(d, e, _NDE_CACHE)
 
 
-def required_points(target: TargetSpace, degree) -> int:
-    """Number of general point conditions that make the count finite:
-    3d-1 on the plane, 2d+2e-1 on the quadric."""
-    if isinstance(target, ProjectiveSpace) and target.r == 2:
-        d = degree
-        if d < 1:
-            raise ValueError(f"plane curve count needs degree >= 1, got {d}")
-        return 3 * d - 1
-    if isinstance(target, P1xP1):
-        d, e = degree
-        if d < 0 or e < 0 or d + e < 1:
-            raise ValueError(f"invalid bidegree {degree}")
-        return 2 * d + 2 * e - 1
-    raise ValueError(f"required_points is defined for P^2 and P1xP1, got {target}")
+def required_points(target, degree) -> int:
+    """Number of general point conditions that make the count finite on a
+    surface target: c1(beta) - 1 = index * (total degree) - 1, which is
+    3d-1 on the plane and 2d+2e-1 on the quadric."""
+    if target.dimension != 2:
+        raise ValueError(
+            f"required_points is defined for P^2 and P1xP1, got {target}")
+    pairings = target.pairings(degree)
+    if min(pairings) < 0 or sum(pairings) < 1:
+        raise ValueError(
+            f"plane curve count needs degree >= 1, got {degree}"
+            if len(pairings) == 1 else f"invalid bidegree {degree}")
+    return target.index * sum(pairings) - 1
 
 
 def genus_nodal_p2(d: int, delta: int) -> int:

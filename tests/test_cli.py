@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -414,6 +415,43 @@ def test_usage_error_on_unknown_target():
     assert run_cli("gw", "--target", "p0", "--degree", "1",
                    "--classes", "h1:2").returncode == 2
     assert run_cli("wdvv", "--target", "p3", "--order", "4").returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gw", "--target", "p10001", "--degree", "1", "--classes", "h1"],
+    ["qmul", "--target", "p10001", "h1", "h2"],
+    ["potential", "--target", "P10001"],
+])
+def test_projective_space_past_the_bound_exits_2_at_once(
+        argv, capsys, monkeypatch, restore_int_str_limit):
+    # The basis of P^r grows with r before any gate runs, so a target far
+    # past the bound would take seconds and gigabytes to answer.
+    monkeypatch.delenv("GW_CACHE", raising=False)
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 0.5
+    assert capsys.readouterr() == ("", f"error: target {argv[2]!r} is too "
+                                   "large (P^r is supported up to r = "
+                                   "10000)\n")
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["gw", "--target", "p10000", "--degree", "1", "--classes", "h1"], "0\n"),
+    (["qmul", "--target", "p10000", "h1", "h2"], "h3\n"),
+])
+def test_projective_space_at_the_bound_still_answers(
+        argv, stdout, capsys, monkeypatch, restore_int_str_limit):
+    monkeypatch.delenv("GW_CACHE", raising=False)
+    assert main(argv) == 0
+    assert capsys.readouterr() == (stdout, "")
+
+
+def test_a_target_with_non_ascii_digits_is_a_usage_error(
+        capsys, monkeypatch, restore_int_str_limit):
+    monkeypatch.delenv("GW_CACHE", raising=False)
+    assert main(["qmul", "--target", "p\u00b2", "h1", "h2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown target 'p\u00b2' (use p1, p2, ..., or p1xp1)\n")
 
 
 def test_cache_path_that_is_a_directory_exits_3(tmp_path):

@@ -28,7 +28,8 @@ from gwcalc import cli, gw, potentials, surfaces
 BUDGET_S = 3.0
 
 TARGETS = ["p1", "p2", "p3", "p4", "p5", "p6", "p1xp1"]
-JUNK = ["", "p0", "p", "q2", "p-1", "px", "p1xp2", "P 2"]
+JUNK = ["", "p0", "p", "q2", "p-1", "px", "p1xp2", "P 2", "p10001",
+        "p\u00b2"]
 DIVISORS = {"h1", "T1", "T2"}
 NAMES = [f"h{i}" for i in range(8)] + [f"T{i}" for i in range(5)]
 JUNK_NAMES = ["", "h", "x2", "h-1", "T", "hh2", "h2.5"]

@@ -1,4 +1,3 @@
-import math
 import sys
 
 import pytest
@@ -8,6 +7,8 @@ from gwcalc.surfaces import (bidegree_intersection, cache_snapshot,
                              n_d, n_d_raw, n_de, n_de_raw, required_points,
                              seed_caches)
 from gwcalc.targets import P1XP1, ProjectiveSpace
+
+from reference_counts import reference_n_d, reference_n_de
 
 ND_TABLE = {
     1: 1,
@@ -70,51 +71,6 @@ def test_nde_column_one():
         assert n_de(1, d if d else 1) == 1
 
 
-def _comb(n, k):
-    return math.comb(n, k) if 0 <= k <= n else 0
-
-
-def reference_n_d(d_max):
-    """N_1..N_d_max by the plane recursion summed over every ordered split,
-    one binomial call per factor: no split pairing, no binomial rows."""
-    counts = [0, 1]
-    for d in range(2, d_max + 1):
-        counts.append(sum(
-            (_comb(3 * d - 4, 3 * a - 2) * a * a * (d - a) ** 2
-             - _comb(3 * d - 4, 3 * a - 1) * a ** 3 * (d - a))
-            * counts[a] * counts[d - a]
-            for a in range(1, d)))
-    return counts
-
-
-def reference_n_de(d_max, e_max):
-    """N_(p,q) for p <= d_max, q <= e_max by the bidegree recursion summed
-    over every ordered split with the one-sided weight
-    <A, B> (C(m, 2|A|-2) d_A e_B - C(m, 2|A|-1) d_A e_A).  That weight is
-    not symmetric under transposing the bidegree, so N_(p,q) and N_(q,p)
-    come from different sums here."""
-    counts = {(0, 1): 1, (1, 0): 1}
-    for k in range(2, max(d_max, e_max) + 1):
-        counts[(0, k)] = counts[(k, 0)] = 0
-    for total in range(2, d_max + e_max + 1):
-        m = 2 * total - 4
-        for p in range(max(1, total - e_max), min(d_max, total - 1) + 1):
-            q = total - p
-            value = 0
-            for da in range(p + 1):
-                for ea in range(q + 1):
-                    db, eb = p - da, q - ea
-                    if da + ea == 0 or db + eb == 0:
-                        continue
-                    s = da + ea
-                    value += ((da * eb + ea * db)
-                              * (_comb(m, 2 * s - 2) * da * eb
-                                 - _comb(m, 2 * s - 1) * da * ea)
-                              * counts[(da, ea)] * counts[(db, eb)])
-            counts[(p, q)] = value
-    return counts
-
-
 def test_nd_matches_unpaired_reference():
     reference = reference_n_d(40)
     assert reference[1:13] == [ND_TABLE[d] for d in range(1, 13)]
@@ -135,13 +91,15 @@ def test_nde_matches_unpaired_reference_in_both_orientations():
 
 
 def test_symmetry_without_normalized_cache():
-    # both orientations run the raw recursion with private caches
+    # Both orientations of the raw count, each on a private table, against
+    # the unpaired reference at the transposed key, whose sum differs from
+    # the one at the key itself.
+    reference = reference_n_de(8, 8)
     for total in range(1, 9):
         for d in range(total + 1):
             e = total - d
-            if d + e < 1:
-                continue
-            assert n_de_raw(d, e, {}) == n_de_raw(e, d, {})
+            assert n_de_raw(d, e, {}) == reference[(e, d)], (d, e)
+            assert n_de_raw(e, d, {}) == reference[(d, e)], (d, e)
 
 
 def test_raw_matches_memoized():
@@ -183,15 +141,24 @@ def test_sparse_seeded_tables_are_completed():
         clear_caches()
 
 
-def test_private_table_keeps_the_orientation_given():
-    private: dict[tuple[int, int], int] = {}
+def test_private_and_shared_tables_use_one_key_layout():
     calls = [(5, 3), (3, 5), (6, 4), (2, 7)]
-    for d, e in calls:
-        assert n_de_raw(d, e, private) == n_de(d, e)
-    assert set(private) == {(p, q) for d, e in calls
-                            for p in range(1, d + 1) for q in range(1, e + 1)}
-    assert (6, 4) in private and (4, 6) not in private
-    assert (2, 7) in private and (7, 2) not in private
+    private: dict[tuple[int, int], int] = {}
+    clear_caches()
+    try:
+        for d, e in calls:
+            assert n_de_raw(d, e, private) == n_de(d, e)
+        _, shared = cache_snapshot()
+        assert private == shared
+        assert all(p <= q for p, q in private)
+        assert {(4, 6), (2, 7)} <= set(private)
+        clear_caches()
+        seed_caches(nde={(4, 3): 87544})
+        _, shared = cache_snapshot()
+        assert shared == {(3, 4): 87544}
+        assert n_de(4, 3) == n_de(3, 4) == 87544
+    finally:
+        clear_caches()
 
 
 def test_required_points():
