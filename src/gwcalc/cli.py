@@ -10,7 +10,10 @@ codes are a stable contract:
 * 2: a usage error (bad arguments or violated preconditions);
 * 3: an internal error, reported as one stderr line
   ``internal error: <Type>: <message>`` without a traceback.  Such a run
-  does not write ``GW_CACHE``.
+  does not write ``GW_CACHE``;
+* 141: stdout was closed before the output was written (as by
+  ``gwcalc nd --d 300 --upto | head -n 1``).  Nothing goes to stderr, and
+  the run does not write ``GW_CACHE``.
 
 Outputs are deterministic byte-for-byte; a timing field is only attached
 when explicitly requested with ``--timing``.
@@ -507,6 +510,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return _run(args, os.environ.get("GW_CACHE"))
+    except BrokenPipeError:
+        # The reader closed stdout before the output was written, as
+        # ``| head`` does.  As the Python docs advise, stdout now points at
+        # devnull, so the flush at exit cannot raise again.  141 is 128 +
+        # SIGPIPE, the status a shell reports for a process SIGPIPE ended.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:
         # A defect, not a verdict: exit 1 is kept for violated identities.
         message = " ".join(str(exc).splitlines())
@@ -532,6 +542,7 @@ def _run(args, cache_path: str | None) -> int:
     elapsed_ms = int((time.monotonic() - started) * 1000)
     _emit(record, args.command, args.format,
           elapsed_ms if args.timing else None)
+    sys.stdout.flush()  # a closed reader stops the run before GW_CACHE
     if cache_path:
         _save_cache(cache_path)
     return 0

@@ -34,7 +34,7 @@ from typing import Callable
 
 from .exact import factorial
 from .gw import _degree_zero, _invariant, _strip, _vdim
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _variable_keys
 from .surfaces import n_d, n_de
 from .targets import (P1XP1, Degree, ExponentVector, P1xP1, ProjectiveSpace,
                       TargetSpace, exponents_from_classes)
@@ -46,13 +46,27 @@ _P2 = ProjectiveSpace(2)
 
 
 def _exponent_vectors(nvars: int, max_total: int):
-    """All exponent tuples with the given variable count and total <= bound."""
-    if nvars == 0:
-        yield ()
-        return
-    for head in range(max_total + 1):
-        for tail in _exponent_vectors(nvars - 1, max_total - head):
-            yield (head,) + tail
+    """All exponent tuples with the given variable count and total <= bound,
+    in lexicographic order.  One odometer with a running total, so neither
+    the variable count nor the recursion limit bounds it."""
+    exps = [0] * nvars
+    total = 0
+    while True:
+        yield tuple(exps)
+        if nvars and total < max_total:
+            exps[-1] += 1
+            total += 1
+            continue
+        # Roll over: clear the last nonzero digit and carry into the one
+        # before it; the carry cannot raise the total.
+        last = nvars - 1
+        while last >= 0 and not exps[last]:
+            last -= 1
+        if last <= 0:
+            return
+        total -= exps[last] - 1
+        exps[last] = 0
+        exps[last - 1] += 1
 
 
 def classical_potential(target: TargetSpace) -> TruncatedSeries:
@@ -88,6 +102,106 @@ def gw_potential_p1(order: int) -> TruncatedSeries:
     return TruncatedSeries(2, order, terms)
 
 
+class _Expansion:
+    """What ``_quantum_part`` needs of one (target, order, keep), whatever
+    the index triple, so the structure constants of one WDVV residual or
+    one big product share it.
+
+    The kept classes split into the divisors (gate weight codim - 1 = 0,
+    one per generator at indices 1, 2, ...) and the placed classes (weight
+    > 0); the gate solves the exponent of the last placed class from those
+    of the ones before it (the free classes).  A kept exponent vector is a
+    head u over the divisors plus a tail t over the placed classes, and
+    x^a / a! = x^u x^t (H / u!) (T / t!) / (H T), where H is order! if a
+    divisor is kept (else 1) and T likewise for the placed classes, so the
+    whole series has the one denominator H T.  Keys are the packed series
+    keys (radix order + 1), built as sums of the variables' keys:
+
+    * ``heads``: the key of every head of degree <= order in rising
+      degree, ``sizes[d]`` the number of heads of degree <= d,
+      ``head_scale`` their H / u!, and ``columns`` their exponents, one
+      column per divisor;
+    * ``free``: (free exponents, gate weight, key, T / f!) per free vector,
+      and ``top_key`` the key of the last placed class;
+    * ``rows``: per pairing tuple, the nonzero terms (head key,
+      <beta, x>^u / u! times H) of exp(<beta, x>) up to the longest
+      degree asked for so far, with their count of heads.
+    """
+
+    __slots__ = ("weight", "placed", "top", "bound", "den", "facts",
+                 "divisors", "heads", "sizes", "head_scale", "columns",
+                 "free", "top_key", "rows")
+
+    def __init__(self, target: TargetSpace, order: int,
+                 keep: tuple[int, ...]):
+        self.weight = weight = [target.codim(c) - 1
+                                for c in range(target.basis_size)]
+        self.divisors = divisors = [c for c in keep if weight[c] == 0]
+        self.placed = placed = [c for c in keep if weight[c] > 0]
+        self.top = weight[placed[-1]] if placed else 0
+        self.bound = (order + 1) ** (len(keep) + 1)
+        self.facts = facts = list(accumulate(range(1, order + 1), mul,
+                                             initial=1))
+        head_den = facts[order] if divisors else 1
+        tail_den = facts[order] if placed else 1
+        self.den = head_den * tail_den
+        unit = dict(zip(keep, _variable_keys(len(keep), order)))
+        # Heads in rising degree, which is all the product loop's break
+        # needs: a head fits beside a tail exactly when its degree does.
+        heads = sorted(_exponent_vectors(len(divisors), order), key=sum)
+        degrees = list(map(sum, heads))
+        self.sizes = [bisect_right(degrees, d) for d in range(order + 1)]
+        self.columns = columns = list(zip(*heads))
+        self.heads = _dot(columns, [unit[c] for c in divisors], len(heads))
+        self.head_scale = _scaled(head_den, columns, facts, len(heads))
+        free = placed[:-1]
+        vectors = list(_exponent_vectors(len(free), order))
+        by_class = list(zip(*vectors))
+        self.free = list(zip(
+            vectors, _dot(by_class, [weight[c] for c in free], len(vectors)),
+            _dot(by_class, [unit[c] for c in free], len(vectors)),
+            _scaled(tail_den, by_class, facts, len(vectors))))
+        self.top_key = unit[placed[-1]] if placed else 0
+        self.rows: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+
+    def row(self, pairing: tuple[int, ...],
+            degree: int) -> list[tuple[int, int]]:
+        """The terms of exp(<beta, x>) up to at least ``degree`` for one
+        pairing tuple, from one list of pairing powers per divisor; a
+        stored row is rebuilt only when a longer one is asked for."""
+        size = self.sizes[degree]
+        stored = self.rows.get(pairing)
+        if stored is None or stored[0] < size:
+            nums = self.head_scale[:size]
+            for c, column in zip(self.divisors, self.columns):
+                powers = [pairing[c - 1] ** a for a in range(degree + 1)]
+                nums = [num * powers[a] for num, a in zip(nums, column)]
+            stored = self.rows[pairing] = (size, [
+                (key, num) for key, num in zip(self.heads, nums) if num])
+        return stored[1]
+
+
+_TABLES: dict[tuple, _Expansion] = {}
+
+
+def _dot(columns: list[tuple[int, ...]], coefs: list[int],
+         size: int) -> list[int]:
+    """sum_c coefs[c] * columns[c], entry by entry, one column at a time."""
+    out = [0] * size
+    for column, coef in zip(columns, coefs):
+        out = [x + a * coef for x, a in zip(out, column)]
+    return out
+
+
+def _scaled(den: int, columns: list[tuple[int, ...]], facts: list[int],
+            size: int) -> list[int]:
+    """den / prod_c columns[c]!, entry by entry (each division is exact)."""
+    out = [den] * size
+    for column in columns:
+        out = [x // facts[a] for x, a in zip(out, column)]
+    return out
+
+
 def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
                   count: Callable[[Degree, ExponentVector], int],
                   keep: tuple[int, ...]) -> TruncatedSeries:
@@ -96,82 +210,65 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
     A series in the variables dual to the sorted basis indices ``keep``,
     the others set to zero: the coefficient of x^a / a! is the sum over
     beta != 0 of I_beta(h^a . h^idx), and ``count(beta, exps)`` gives
-    I_beta for exponents without fundamental or divisor classes.  The
-    exponent vectors are listed once per call.  Per beta the strip takes
-    the divisor factors of ``idx``, exp(<beta, x>) is expanded once over
-    the kept divisors from one row of pairing powers each, and the gate
-    solves the exponent of the last kept class from those of the classes
-    between.  An index 0 (the fundamental class) builds nothing.  Each
-    coefficient is summed as an integer times a! and handed to the series
-    as an integer numerator over the one denominator order!.
+    I_beta for exponents without fundamental or divisor classes.  What does
+    not depend on ``idx`` comes from the shared ``_Expansion`` of (target,
+    order, keep).  Per beta the strip takes the divisor factors of ``idx``
+    into the count, exp(<beta, x>) is the table's row for the pairing, and
+    the gate solves the exponent of the last kept class from those of the
+    classes between.  An index 0 (the fundamental class) builds nothing.
+    Each coefficient is summed as an integer numerator over the table's
+    one denominator.
     """
     idx_exps = exponents_from_classes(target, idx)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if idx_exps[0]:  # the fundamental class kills every curve class
         return TruncatedSeries.zero(len(keep), order)
-    # The gate fixes (codimension sum - marks); each class adds codim - 1,
-    # so the divisors, one per generator at indices 1, 2, ..., weigh zero.
-    weight = [target.codim(c) - 1 for c in range(target.basis_size)]
-    divisors = [c for c in keep if weight[c] == 0]
-    placed = [c for c in keep if weight[c] > 0]
-    top = weight[placed[-1]] if placed else 0
-    free = placed[:-1]
-    head = (0,) if 0 in keep else ()
-    # The divisor exponent vectors in rising degree, as degrees, key heads
-    # and one column of exponents per kept divisor.
-    vectors = sorted(_exponent_vectors(len(divisors), order), key=sum)
-    degrees = [sum(u) for u in vectors]
-    heads = [head + u for u in vectors]
-    columns = list(zip(*vectors))
-    free_vectors = list(_exponent_vectors(len(free), order))
-    acc: dict[ExponentVector, int] = {}
+    table = _TABLES.get((target, order, keep))
+    if table is None:
+        table = _TABLES[target, order, keep] = _Expansion(target, order, keep)
+    placed, top, bound = table.placed, table.top, table.bound
+    top_key, facts = table.top_key, table.facts
+    offset = sum(table.weight[c] for c in idx)
+    acc: dict[int, int] = {}
+    get = acc.get
     total = 0
     while True:
         total += 1
-        gap = _vdim(target, total, 0) - sum(weight[c] for c in idx)
+        gap = _vdim(target, total, 0) - offset
         if gap > top * order:
             break
-        # A kept tail has degree >= gap / top, which leaves the divisors span.
-        span = order - (max(gap, 0) + top - 1) // top if top else order
         for beta in target.degrees(total):
             pairing = target.pairings(beta)
             mult, base = _strip(idx_exps, pairing)
             if not mult:
                 continue
-            # exp(<beta, x>) over the kept divisors up to degree span, times
-            # the strip factor, from one row of pairing powers per divisor.
-            nums = [mult] * bisect_right(degrees, span)
-            for c, column in zip(divisors, columns):
-                row = [pairing[c - 1] ** a for a in range(span + 1)]
-                nums = [num * row[a] for num, a in zip(nums, column)]
-            exp_table = [(degrees[v], heads[v], num)
-                         for v, num in enumerate(nums) if num]
-            for f in free_vectors:
-                rest = gap - sum(weight[c] * a for c, a in zip(free, f))
+            # A kept tail has degree >= gap / top, which leaves the heads span.
+            row = table.row(pairing, order - (max(gap, 0) + top - 1) // top
+                            if top else order)
+            for f, f_weight, f_key, f_scale in table.free:
+                rest = gap - f_weight
                 if rest < 0 or (rest % top if top else rest):
                     continue
-                tail = f + (rest // top,) if top else f
-                budget = order - sum(tail)
-                if budget < 0:
+                last = rest // top if top else 0
+                tail_key = f_key + last * top_key
+                if tail_key >= bound:  # the tail alone exceeds the order
                     continue
                 exps = list(base)
-                for c, a in zip(placed, tail):
+                for c, a in zip(placed, f + (last,)):
                     exps[c] += a
                 value = count(beta, tuple(exps))
                 if not value:
                     continue
-                for degree, key_head, num in exp_table:
-                    if degree > budget:
+                value *= mult * (f_scale // facts[last])
+                limit = bound - tail_key
+                for head_key, num in row:
+                    if head_key >= limit:
                         break
-                    key = key_head + tail
-                    acc[key] = acc.get(key, 0) + value * num
-    # x^a / a! is x^a * (order! / a!) over the one denominator order!.
-    facts = list(accumulate(range(1, order + 1), mul, initial=1))
-    den = facts[order]
-    return TruncatedSeries._trusted(len(keep), order, den, {
-        key: num * (den // prod(map(facts.__getitem__, key)))
-        for key, num in acc.items() if num})
+                    key = head_key + tail_key
+                    acc[key] = get(key, 0) + value * num
+    return TruncatedSeries._trusted(len(keep), order, table.den,
+                                    {k: n for k, n in acc.items() if n})
 
 
 def _with_constant(target: TargetSpace, ijk: tuple[int, ...],
@@ -271,8 +368,9 @@ def phi_ijk(target: TargetSpace, i: int, j: int, k: int,
 
 
 def clear_caches() -> None:
-    """Drop the memoized structure-constant series."""
+    """Drop the memoized structure-constant series and expansion tables."""
     _PHI_CACHE.clear()
+    _TABLES.clear()
 
 
 def wdvv_general_pr(r: int, i: int, j: int, k: int, l: int,

@@ -8,20 +8,35 @@ derivative lowers the order by one.  Terms with zero coefficient or degree
 beyond the order are never stored.
 
 Storage is integer: one positive denominator per series and one nonzero
-int numerator per stored exponent tuple.  The form is canonical, so equal
-series store equal data: the gcd of the denominator and every numerator is
-1, and the empty series has denominator 1.  All arithmetic runs on these
-ints.  A sum rescales both operands to the lcm of their denominators, a
-product convolves the stored numerators in order of rising degree over the
-product of the denominators, and each result is reduced once by the gcd of
-its denominator and numerators.  The constructor checks outside input;
+int numerator per stored monomial.  The form is canonical, so equal series
+store equal data: the gcd of the denominator and every numerator is 1, and
+the empty series has denominator 1.  All arithmetic runs on these ints.  A
+sum rescales both operands to the lcm of their denominators, a product
+convolves the stored numerators in order of rising degree over the product
+of the denominators, and each result is reduced once by the gcd of its
+denominator and numerators.  The constructor checks outside input;
 ``_trusted`` is the private constructor for numerators that are already
 checked.
 
-``Fraction`` appears only at the boundary: the constructor and the scalar
-operands take ints and Fractions, and ``terms`` (a read-only view built on
-first use and cached), ``coefficient``, ``leading_term`` and ``render``
-give canonical Fractions.
+Each monomial x^a is stored under one graded int key, with radix
+R = order + 1 and n = nvars:
+
+    key(a) = |a| * R^n + a_0 + a_1 * R + ... + a_(n-1) * R^(n-1).
+
+Every digit is at most the order, so the key is unique, and the keys of a
+series sort in rising total degree.  When |a| + |b| <= order no digit
+carries, so key(a) + key(b) = key(a + b); and |a| + |b| > order exactly
+when key(a) + key(b) >= R^(n+1).  A product therefore adds keys and stops
+its inner loop at one bound.  Keys are rebuilt only where the order
+changes: ``partial_derivative``, ``truncate``, and sums or products of
+operands of different orders.  Exponent tuples appear only at the
+boundary: the constructor, ``terms``, ``coefficient``, ``leading_term``
+and ``render``.
+
+``Fraction`` appears only at the boundary too: the constructor and the
+scalar operands take ints and Fractions, and ``terms`` (a read-only view
+built on first use and cached), ``coefficient``, ``leading_term`` and
+``render`` give canonical Fractions.
 
 Instances are immutable after construction; all operations return new
 series, so sharing between threads is safe.
@@ -36,7 +51,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -72,8 +86,9 @@ class TruncatedSeries:
         # Over the lcm of reduced denominators the numerators share no
         # factor with it, so this form is already canonical.
         den = lcm(*(c.denominator for c in clean.values()))
+        radix = order + 1
         _fill(self, nvars, order, den,
-              {e: c.numerator * (den // c.denominator)
+              {_pack(e, radix): c.numerator * (den // c.denominator)
                for e, c in clean.items()}, MappingProxyType(clean))
 
     def __setattr__(self, name, value):  # immutability guard
@@ -81,13 +96,14 @@ class TruncatedSeries:
 
     @classmethod
     def _trusted(cls, nvars: int, order: int, den: int,
-                 nums: dict[Exponents, int]) -> "TruncatedSeries":
+                 nums: dict[int, int]) -> "TruncatedSeries":
         """A series ``nums / den`` from a positive denominator and nonzero
-        int numerators on exponent tuples of length nvars and degree <=
-        order, reduced here to the canonical form."""
+        int numerators on the packed keys (radix order + 1) of monomials in
+        nvars variables of degree <= order, reduced here to the canonical
+        form."""
         if den > 1 and (common := gcd(den, *nums.values())) > 1:
             den //= common
-            nums = {e: n // common for e, n in nums.items()}
+            nums = {k: n // common for k, n in nums.items()}
         series = object.__new__(cls)
         _fill(series, nvars, order, den, nums)
         return series
@@ -119,9 +135,10 @@ class TruncatedSeries:
         """The stored terms as a read-only map to canonical Fractions."""
         view = self._terms
         if view is None:
-            den = self._den
+            den, nvars, radix = self._den, self.nvars, self.order + 1
             view = MappingProxyType(
-                {e: Fraction(n, den) for e, n in self._nums.items()})
+                {_unpack(k, nvars, radix): Fraction(n, den)
+                 for k, n in self._nums.items()})
             object.__setattr__(self, "_terms", view)
         return view
 
@@ -136,7 +153,8 @@ class TruncatedSeries:
         if sum(key) > self.order:
             raise ValueError(
                 f"degree {sum(key)} exceeds the trusted order {self.order}")
-        return Fraction(self._nums.get(key, 0), self._den)
+        return Fraction(self._nums.get(_pack(key, self.order + 1), 0),
+                        self._den)
 
     def is_zero(self) -> bool:
         return not self._nums
@@ -145,8 +163,8 @@ class TruncatedSeries:
         """The term with lexicographically smallest exponents, or None."""
         if not self._nums:
             return None
-        exps = min(self._nums)
-        return exps, Fraction(self._nums[exps], self._den)
+        exps, num = min(self._unpacked())
+        return exps, Fraction(num, self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -165,12 +183,22 @@ class TruncatedSeries:
             raise ValueError(
                 f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
+    def _keyed_at(self, order: int) -> dict[int, int]:
+        """The numerators of degree <= order, keyed with radix order + 1;
+        the stored dict itself when that is the series' own order."""
+        if order == self.order:
+            return self._nums
+        radix, nvars = self.order + 1, self.nvars
+        limit = (order + 1) * radix ** nvars  # keys of degree <= order
+        return {_pack(_unpack(k, nvars, radix), order + 1): n
+                for k, n in self._nums.items() if k < limit}
+
     def __add__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
             num = other.numerator
             other = TruncatedSeries._trusted(
                 self.nvars, self.order, other.denominator,
-                {(0,) * self.nvars: num} if num else {})
+                {0: num} if num else {})
         elif not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
@@ -180,15 +208,13 @@ class TruncatedSeries:
         if not self._nums and order == other.order:
             return other
         den = lcm(self._den, other._den)
-        nums = _rescaled(self._nums, den // self._den)
+        nums = _rescaled(self._keyed_at(order), den // self._den)
         scale = den // other._den
-        for exps, num in other._nums.items():
-            if value := nums.get(exps, 0) + num * scale:
-                nums[exps] = value
+        for key, num in other._keyed_at(order).items():
+            if value := nums.get(key, 0) + num * scale:
+                nums[key] = value
             else:
-                del nums[exps]
-        if self.order != other.order:
-            nums = {e: n for e, n in nums.items() if sum(e) <= order}
+                del nums[key]
         return TruncatedSeries._trusted(self.nvars, order, den, nums)
 
     __radd__ = __add__
@@ -196,7 +222,7 @@ class TruncatedSeries:
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries._trusted(
             self.nvars, self.order, self._den,
-            {e: -n for e, n in self._nums.items()})
+            {k: -n for k, n in self._nums.items()})
 
     def __sub__(self, other) -> "TruncatedSeries":
         if not isinstance(other, (int, Fraction, TruncatedSeries)):
@@ -218,21 +244,21 @@ class TruncatedSeries:
             return NotImplemented
         self._check_compatible(other)
         order = min(self.order, other.order)
-        rows_a = sorted([(sum(e), e, n) for e, n in self._nums.items()],
-                        key=itemgetter(0))
-        rows_b = sorted([(sum(e), e, n) for e, n in other._nums.items()],
-                        key=itemgetter(0))
-        acc: dict[Exponents, int] = {}
-        for da, ea, na in rows_a:
-            limit = order - da
-            for db, eb, nb in rows_b:
-                if db > limit:
+        # key(a) + key(b) < R^(n+1) exactly when |a| + |b| <= order.
+        bound = (order + 1) ** (self.nvars + 1)
+        rows_b = sorted(other._keyed_at(order).items())
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ka, na in sorted(self._keyed_at(order).items()):
+            limit = bound - ka
+            for kb, nb in rows_b:
+                if kb >= limit:
                     break
-                key = tuple(map(add, ea, eb))
-                acc[key] = acc.get(key, 0) + na * nb
+                key = ka + kb
+                acc[key] = get(key, 0) + na * nb
         return TruncatedSeries._trusted(
             self.nvars, order, self._den * other._den,
-            {e: n for e, n in acc.items() if n})
+            {k: n for k, n in acc.items() if n})
 
     __rmul__ = __mul__
 
@@ -243,9 +269,8 @@ class TruncatedSeries:
                 f"cannot extend trusted order {self.order} to {order}")
         if order < 0:
             raise ValueError(f"truncation order must be >= 0, got {order}")
-        return TruncatedSeries._trusted(
-            self.nvars, order, self._den,
-            {e: n for e, n in self._nums.items() if sum(e) <= order})
+        return TruncatedSeries._trusted(self.nvars, order, self._den,
+                                        self._keyed_at(order))
 
     def partial_derivative(self, var: int) -> "TruncatedSeries":
         """Formal d/dx_var; the trusted order drops by one, so a series of
@@ -255,13 +280,13 @@ class TruncatedSeries:
         if not self.order:
             raise ValueError("a series of trusted order 0 has no trusted "
                              "derivative")
-        nums: dict[Exponents, int] = {}
-        for exps, num in self._nums.items():
+        radix = self.order
+        nums: dict[int, int] = {}
+        for exps, num in self._unpacked():
             k = exps[var]
-            if k == 0:
-                continue
-            key = exps[:var] + (k - 1,) + exps[var + 1:]
-            nums[key] = num * k
+            if k:
+                nums[_pack(exps[:var] + (k - 1,) + exps[var + 1:],
+                           radix)] = num * k
         return TruncatedSeries._trusted(self.nvars, self.order - 1,
                                         self._den, nums)
 
@@ -269,9 +294,11 @@ class TruncatedSeries:
         """Set x_var = 0, keeping the variable slot (order unchanged)."""
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
+        radix = self.order + 1
+        place = radix ** var
         return TruncatedSeries._trusted(
             self.nvars, self.order, self._den,
-            {e: n for e, n in self._nums.items() if e[var] == 0})
+            {k: n for k, n in self._nums.items() if not k // place % radix})
 
     # -- rendering -----------------------------------------------------
 
@@ -286,10 +313,10 @@ class TruncatedSeries:
                                  f"in {self.nvars} variables")
         if not self._nums:
             return "0"
-        terms = self.terms
+        den = self._den
         parts = []
-        for exps in sorted(terms):
-            coeff = terms[exps]
+        for exps, num in sorted(self._unpacked()):
+            coeff = Fraction(num, den)
             factors = []
             for name, k in zip(names, exps):
                 if k == 1:
@@ -304,13 +331,43 @@ class TruncatedSeries:
                 parts.append(_DOT.join([str(coeff)] + factors))
         return " + ".join(parts)
 
+    def _unpacked(self) -> list[tuple[Exponents, int]]:
+        """(exponent tuple, numerator) for every stored term."""
+        nvars, radix = self.nvars, self.order + 1
+        return [(_unpack(k, nvars, radix), n) for k, n in self._nums.items()]
+
     def __repr__(self) -> str:
         return (f"TruncatedSeries(nvars={self.nvars}, order={self.order}, "
                 f"{self.render()})")
 
 
+def _pack(exps: Exponents, radix: int) -> int:
+    """The graded key of x^exps: |exps| * R^n + sum exps[i] * R^i."""
+    key = sum(exps)
+    for a in reversed(exps):
+        key = key * radix + a
+    return key
+
+
+def _unpack(key: int, nvars: int, radix: int) -> Exponents:
+    """The exponent tuple of a packed key."""
+    exps = []
+    for _ in range(nvars):
+        key, a = divmod(key, radix)
+        exps.append(a)
+    return tuple(exps)
+
+
+def _variable_keys(nvars: int, order: int) -> list[int]:
+    """key(x_i) for each variable at this order; the key of x^a is
+    sum a_i * key(x_i) whenever |a| <= order."""
+    radix = order + 1
+    top = radix ** nvars
+    return [top + radix ** i for i in range(nvars)]
+
+
 def _fill(series: TruncatedSeries, nvars: int, order: int, den: int,
-          nums: dict[Exponents, int],
+          nums: dict[int, int],
           terms: Mapping[Exponents, Fraction] | None = None) -> None:
     """Set the slots of a new series; without ``terms`` its Fraction view
     is built on first use."""
@@ -322,11 +379,11 @@ def _fill(series: TruncatedSeries, nvars: int, order: int, den: int,
     set_slot(series, "_terms", terms)
 
 
-def _rescaled(nums: dict[Exponents, int], factor: int) -> dict[Exponents, int]:
+def _rescaled(nums: dict[int, int], factor: int) -> dict[int, int]:
     """A copy of the numerators, each multiplied by ``factor``."""
     if factor == 1:
         return dict(nums)
-    return {e: n * factor for e, n in nums.items()}
+    return {k: n * factor for k, n in nums.items()}
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")

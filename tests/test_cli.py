@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -553,3 +554,76 @@ def test_a_parser_for_one_subcommand_parses_like_the_full_one(command,
 
 def test_the_parse_grid_covers_every_subcommand():
     assert sorted(PARSE_GRID) == sorted(cli._COMMANDS)
+
+
+# sha256 of stdout for series-valued commands, recorded before the series
+# storage moved to packed monomial keys; the text form must not move.
+SERIES_OUTPUT_DIGESTS = {
+    ("potential --target p1xp1 --order 10 --quantum", "plain"):
+        "e98fa86d7aa99e25e52fb1253959458d82993d4e59159ea7fa02ac0eea75809b",
+    ("potential --target p1xp1 --order 10 --quantum", "json"):
+        "5ff0ba79fb821433435ad92c527bbc71c503cd255dbd545c7b35e151c7503632",
+    ("potential --target p1xp1 --order 10 --quantum", "csv"):
+        "c9832530f38362af8d8057af0963f69dec8dbc89f30ae1fa60a3afe84567ebc4",
+    ("potential --target p2 --order 12 --quantum", "plain"):
+        "401f7484d448faf01530f442b3343097790f9fbcc6880d08f2e8bdc1fd9628b7",
+    ("potential --target p2 --order 12 --quantum", "json"):
+        "06c8225298c2abee130aaf45fd8d344d53f41babe3676f4da5d4d1ea4c1483dc",
+    ("potential --target p2 --order 12 --quantum", "csv"):
+        "ad5317f717ae7d0082a16489392da9795bbeefc0019fc61eb8a1daa9ca0c284d",
+    ("qmul --target p3 --big --order 6 h1 h2", "plain"):
+        "9d871a4a5075cd7afe27e91d58ec2d70e8bb20d7dbc9768ce3df30ae85106a64",
+    ("qmul --target p3 --big --order 6 h1 h2", "json"):
+        "e9c52e4bbd8b2383fac886a814f4ee3658962384247e92e27bb6411cec446728",
+    ("qmul --target p3 --big --order 6 h1 h2", "csv"):
+        "888536823338ccc1baaab34bb29c00d0c4e2e85dcc5665698cfd83af9310f34d",
+    ("qmul --target p1xp1 --big --order 8 T3 T3", "plain"):
+        "24d97db174fdef1a180cb731d927b7227cc06415a16f0e2bb4a481b1a64b228f",
+    ("qmul --target p1xp1 --big --order 8 T3 T3", "json"):
+        "b902ad02ef76e4e96627fe291dcf232a0afb0e33339e0895c04441244f6ea1a0",
+    ("qmul --target p1xp1 --big --order 8 T3 T3", "csv"):
+        "efc6d854e4e3506a2dc2be73f455abb62f44520af71f8a607dd5ed86a8c3c866",
+    ("wdvv --target p1xp1 --order 8", "plain"):
+        "f2766edfad01aa8f090966c6b003ba414520d59f12d756d97416ebec14391276",
+    ("wdvv --target p1xp1 --order 8", "json"):
+        "0c9060c27ad65641986b128902ae2a272e23c1eee6e928dcfeae10b73d6945db",
+    ("wdvv --target p1xp1 --order 8", "csv"):
+        "361c1f94904547c58b058ba9404f15c94b81c1eb590b757fc47160c8d7682b9d",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(SERIES_OUTPUT_DIGESTS))
+def test_series_output_is_pinned(command, fmt, capsys, monkeypatch,
+                                 restore_int_str_limit):
+    monkeypatch.delenv("GW_CACHE", raising=False)
+    assert main(command.split() + ["--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == \
+        SERIES_OUTPUT_DIGESTS[command, fmt]
+
+
+def test_a_reader_that_closes_early_gets_exit_141(tmp_path):
+    # The table runs to hundreds of kilobytes, far past a pipe buffer, so
+    # the write after the reader has gone must fail.
+    cache = tmp_path / "cache.txt"
+    env = dict(os.environ, GW_CACHE=str(cache))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "gwcalc", "nd", "--d", "300", "--upto"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline() == b"1\t1\n"
+    child.stdout.close()
+    assert child.wait(timeout=60) == 141
+    assert child.stderr.read() == b""
+    child.stderr.close()
+    assert not cache.exists()
+
+
+def test_big_product_on_a_wide_projective_space_answers_quickly():
+    started = time.monotonic()
+    result = run_cli("qmul", "--target", "p300", "--big", "--order", "1",
+                     "h1", "h2")
+    assert time.monotonic() - started < 2
+    assert result.returncode == 0
+    assert result.stdout == "(x299)·h0 + (x300)·h1 + (1)·h3\n"

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -227,3 +228,28 @@ def test_wdvv_general_pr():
         wdvv_general_pr(4, 1, 1, 2, 2, 3)
     with pytest.raises(ValueError):
         wdvv_general_pr(2, 3, 0, 0, 0, 3)
+
+
+def test_exponent_vectors_do_not_recurse_per_variable():
+    from gwcalc.potentials import _exponent_vectors
+    assert sys.getrecursionlimit() < 2000
+    vectors = list(_exponent_vectors(2000, 1))
+    assert len(vectors) == 2001
+    assert vectors[0] == (0,) * 2000 and vectors[-1] == (1,) + (0,) * 1999
+    assert list(_exponent_vectors(0, 3)) == [()]
+    assert list(_exponent_vectors(2, 2)) == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+
+
+def test_clear_caches_leaves_no_table_behind():
+    from gwcalc import potentials
+    wdvv_residual_p1x1(6)
+    wdvv_general_pr(3, 1, 1, 2, 3, 3)
+    phi_ijk(P1XP1, 1, 2, 3, 5)
+    tables = {name: value for name, value in vars(potentials).items()
+              if isinstance(value, (dict, list, set))
+              and not name.startswith("__")}
+    assert any(tables.values())
+    potentials.clear_caches()
+    assert {name: len(value) for name, value in tables.items()} == \
+        dict.fromkeys(tables, 0)

@@ -265,3 +265,82 @@ def test_fundamental_class_leaves_only_the_constant():
 
     assert gamma_p1x1(0, 1, 2, 10, nde=never).is_zero()
     assert phi_ijk(P1XP1, 0, 1, 2, 10) == TruncatedSeries.constant(4, 10, 1)
+
+
+# -- the packed monomial keys against a plain dict of exponent tuples ------
+
+def ref_truncate(terms, order):
+    return {e: c for e, c in terms.items() if sum(e) <= order}
+
+
+def ref_derivative(terms, var):
+    out = {}
+    for e, c in terms.items():
+        if e[var]:
+            out[e[:var] + (e[var] - 1,) + e[var + 1:]] = c * e[var]
+    return out
+
+
+def check_against(series, terms, nvars, order):
+    """``series`` holds exactly ``terms`` at ``order``, in every view."""
+    terms = {e: Fraction(c) for e, c in terms.items() if c}
+    assert (series.nvars, series.order) == (nvars, order)
+    assert series.terms == terms
+    rebuilt = TruncatedSeries(nvars, order, terms)
+    assert series == rebuilt and hash(series) == hash(rebuilt)
+    assert series.leading_term() == (min(terms.items()) if terms else None)
+    edge = (0,) * (nvars - 1)
+    for exps in set(terms) | {(0,) + edge, (order,) + edge, edge + (order,)}:
+        assert series.coefficient(exps) == terms.get(exps, 0)
+    assert parse_series(series.render(), nvars, order) == series
+
+
+@st.composite
+def keyed_operands(draw):
+    """Two operands of possibly different orders in 1-5 variables, or in 60
+    at order <= 2, with many exponents on the order bound."""
+    nvars = draw(st.sampled_from((1, 2, 3, 4, 5, 60)))
+    top = 2 if nvars == 60 else 7
+
+    def operand():
+        order = draw(st.integers(0, top))
+        terms = {}
+        for _ in range(draw(st.integers(0, 10))):
+            total = draw(st.one_of(st.just(order), st.integers(0, order)))
+            exps = [0] * nvars
+            for _ in range(total):
+                exps[draw(st.integers(0, nvars - 1))] += 1
+            terms[tuple(exps)] = draw(COEFFICIENTS)
+        return order, terms
+
+    return nvars, operand(), operand()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(keyed_operands(), st.data())
+def test_packed_keys_match_a_tuple_keyed_reference(case, data):
+    nvars, (order_a, terms_a), (order_b, terms_b) = case
+    a = TruncatedSeries(nvars, order_a, terms_a)
+    b = TruncatedSeries(nvars, order_b, terms_b)
+    ref_a = {e: Fraction(c) for e, c in terms_a.items()}
+    ref_b = {e: Fraction(c) for e, c in terms_b.items()}
+    check_against(a, ref_a, nvars, order_a)
+    order = min(order_a, order_b)
+    check_against(a * b, reference_product(a, b), nvars, order)
+    check_against(a + b, reference_sum(a, b, 1), nvars, order)
+    check_against(a - b, reference_sum(a, b, -1), nvars, order)
+    cut = data.draw(st.integers(0, order_a))
+    check_against(a.truncate(cut), ref_truncate(ref_a, cut), nvars, cut)
+    series, terms, left = a, ref_a, order_a
+    for var in data.draw(st.lists(st.integers(0, nvars - 1),
+                                  max_size=order_a)):
+        series, terms = series.partial_derivative(var), \
+            ref_derivative(terms, var)
+        left -= 1
+        check_against(series, terms, nvars, left)
+    check_against(series * b, reference_product(series, b), nvars,
+                  min(left, order_b))
+    for var in range(nvars):
+        check_against(a.substitute_zero(var),
+                      {e: c for e, c in ref_a.items() if not e[var]},
+                      nvars, order_a)
