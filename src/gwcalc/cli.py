@@ -18,6 +18,9 @@ codes are a stable contract:
 Outputs are deterministic byte-for-byte; a timing field is only attached
 when explicitly requested with ``--timing``.
 
+Each subcommand is one row of ``_SUBCOMMANDS`` (help line, arguments,
+command); the dispatch table ``_COMMANDS`` is derived from it.
+
 If the environment variable ``GW_CACHE`` names a file, the memoized curve
 counts are loaded from it on startup and written back (merged) on exit,
 one ``key<TAB>value`` pair per line with keys ``nd:<d>`` and
@@ -32,6 +35,7 @@ import argparse
 import os
 import sys
 import time
+from math import comb
 
 # Only what parsing, GW_CACHE and nd/nde need loads with the module; each
 # other subcommand imports its own layers, so a light call stays light.
@@ -52,6 +56,14 @@ class VerificationError(Exception):
 # linearly in r before any gate runs: at r = 4,000,000 a one-line answer
 # takes seconds and hundreds of megabytes, at this bound no visible time.
 _MAX_R = 10000
+
+# ``potentials._Expansion`` lists, for a big product, every exponent vector
+# of total <= order over the f free classes (those of codimension >= 2 but
+# the last, r - 2 on P^r and none on P^1, P^2 or P1xP1): C(f + order, order)
+# vectors of f ints.  Past this many ints a product is refused: on a 2-vCPU
+# host p3000 at order 1 (9.0e6) answered in 3.3 s, p300 at order 2 (1.3e7)
+# took 22 s.
+_MAX_BIG_LISTING = 10 ** 7
 
 
 def _parse_target(text: str) -> TargetSpace:
@@ -246,8 +258,6 @@ def _cmd_gw(args) -> dict:
 def _cmd_qmul(args) -> dict:
     from .rings import BigQuantumElement, RingElement, big_qmul, small_qmul
     target = _parse_target(args.target)
-    if len(args.operands) != 2:
-        raise UsageError("qmul expects exactly two basis class operands")
     try:
         i = parse_basis_class(target, args.operands[0])
         j = parse_basis_class(target, args.operands[1])
@@ -257,6 +267,14 @@ def _cmd_qmul(args) -> dict:
         order = args.order if args.order is not None else 4
         if order < 0:
             raise UsageError(f"--order must be >= 0, got {order}")
+        free = max(sum(target.codim(c) >= 2
+                       for c in range(target.basis_size)) - 1, 0)
+        k = min(order, _MAX_BIG_LISTING)  # any f >= 1 is over by then
+        if free * comb(free + k, k) > _MAX_BIG_LISTING:
+            raise UsageError(
+                f"--big at order {order} on {target} is too large: with "
+                f"f = {free} free classes, f * C(f + order, order) is over "
+                f"{_MAX_BIG_LISTING}")
         product = big_qmul(BigQuantumElement.basis(target, i, order),
                            BigQuantumElement.basis(target, j, order))
         inputs = {"target": args.target, "big": True, "order": order,
@@ -380,17 +398,6 @@ def _cmd_partitions(args) -> dict:
     }
 
 
-_COMMANDS = {
-    "nd": _cmd_nd,
-    "nde": _cmd_nde,
-    "gw": _cmd_gw,
-    "qmul": _cmd_qmul,
-    "wdvv": _cmd_wdvv,
-    "potential": _cmd_potential,
-    "partitions": _cmd_partitions,
-}
-
-
 def _nd_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--upto", action="store_true",
@@ -441,17 +448,21 @@ def _partitions_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--count", action="store_true")
 
 
-# name -> (help line, arguments), in the order ``gwcalc --help`` lists them
+# name -> (help line, arguments, command), in ``gwcalc --help`` order
 _SUBCOMMANDS = {
-    "nd": ("rational plane curve counts N_d", _nd_arguments),
-    "nde": ("bidegree curve counts N_(d,e) on P1xP1", _nde_arguments),
-    "gw": ("genus-0 Gromov-Witten invariants", _gw_arguments),
-    "qmul": ("quantum products", _qmul_arguments),
-    "wdvv": ("verify a WDVV residual vanishes", _wdvv_arguments),
-    "potential": ("classical or quantum potentials", _potential_arguments),
+    "nd": ("rational plane curve counts N_d", _nd_arguments, _cmd_nd),
+    "nde": ("bidegree curve counts N_(d,e) on P1xP1", _nde_arguments,
+            _cmd_nde),
+    "gw": ("genus-0 Gromov-Witten invariants", _gw_arguments, _cmd_gw),
+    "qmul": ("quantum products", _qmul_arguments, _cmd_qmul),
+    "wdvv": ("verify a WDVV residual vanishes", _wdvv_arguments, _cmd_wdvv),
+    "potential": ("classical or quantum potentials", _potential_arguments,
+                  _cmd_potential),
     "partitions": ("stable weighted partitions for pinned boundary "
-                   "divisors", _partitions_arguments),
+                   "divisors", _partitions_arguments, _cmd_partitions),
 }
+
+_COMMANDS = {name: command for name, (*_, command) in _SUBCOMMANDS.items()}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -475,7 +486,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     common.add_argument("--timing", action="store_true",
                         default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+    for name, (help_line, add_arguments, _) in _SUBCOMMANDS.items():
         if command is None or name == command:
             add_arguments(sub.add_parser(name, help=help_line,
                                          parents=[common]))

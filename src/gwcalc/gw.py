@@ -45,8 +45,8 @@ from math import comb
 
 from .surfaces import n_d, n_de
 from .targets import (Degree, ExponentVector, InvariantKey, P1xP1,
-                      ProjectiveSpace, TargetSpace, total_codim,
-                      validate_degree)
+                      ProjectiveSpace, TargetSpace, _checked_exponents,
+                      total_codim, validate_degree)
 
 _PR_CACHE: dict[tuple[int, int, ExponentVector], int] = {}
 
@@ -313,11 +313,9 @@ def collected_invariant(target: TargetSpace, exponents: ExponentVector) -> Fract
     The dimension gate solves for the total degree, d on P^r and d + e on
     P1 x P1, where the sum runs over all bidegree splits of that total.
     """
-    codim = total_codim(target, exponents)  # checks the length
-    if any(a < 0 for a in exponents):
-        raise ValueError(f"exponents must be >= 0, got {exponents}")
-    total, rest = divmod(codim - _vdim(target, 0, sum(exponents)),
-                         target.index)
+    exponents = _checked_exponents(target, exponents)
+    total, rest = divmod(total_codim(target, exponents)
+                         - _vdim(target, 0, sum(exponents)), target.index)
     if total < 0 or rest:
         return Fraction(0)
     return Fraction(sum(_invariant(target, degree, exponents)

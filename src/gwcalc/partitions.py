@@ -9,7 +9,8 @@ Kontsevich three-point condition is met without counting the node here.
 ``enumerate_partitions`` lists the divisors appearing in one pinned
 boundary relation D(ij|kl): the pinned pair (i, j) always sits on the A
 side, which fixes the orientation and prevents double counting across
-complements.
+complements.  It and ``count_pinned_partitions`` check the pins by
+``_pinned`` and the degree by ``targets._degree_parts``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import prod
 from typing import Iterator, Sequence
 
 from .exact import multinomial
-from .targets import _Record
+from .targets import _Record, _degree_parts
 
 
 class MarkSet(_Record):
@@ -99,16 +100,14 @@ class WeightedPartition(_Record):
         return record
 
 
-def _degree_parts(degree) -> tuple[int, ...]:
-    """(d,) for a degree, (d, e) for a bidegree; a negative part is refused."""
-    if isinstance(degree, int):
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
-        return (degree,)
-    d, e = degree
-    if d < 0 or e < 0:
-        raise ValueError(f"bidegree components must be >= 0, got {degree}")
-    return (d, e)
+def _pinned(marks: MarkSet, pins: tuple[Sequence[str], Sequence[str]]
+            ) -> tuple[str, str, str, str]:
+    """The pinned marks (i, j, k, l), once they are checked to be four
+    distinct members of the mark set."""
+    (i, j), (k, l) = pins
+    if len({marks.index(p) for p in (i, j, k, l)}) != 4:
+        raise ValueError("the four pinned marks must be distinct")
+    return i, j, k, l
 
 
 def _degree_splits(degree) -> Iterator[tuple[int, int, int | None, int | None]]:
@@ -134,11 +133,7 @@ def enumerate_partitions(marks: MarkSet, degree,
     freely.  The result is in canonical order: degree split ascending, then
     the A side in mark-set order.
     """
-    (i, j), (k, l) = pins
-    pinned = [i, j, k, l]
-    positions = [marks.index(p) for p in pinned]
-    if len(set(positions)) != 4:
-        raise ValueError("the four pinned marks must be distinct")
+    pinned = i, j, k, l = _pinned(marks, pins)
     spare = [m for m in marks if m not in pinned]
     out: list[WeightedPartition] = []
     order = {label: pos for pos, label in enumerate(marks)}
@@ -160,9 +155,7 @@ def count_pinned_partitions(marks: MarkSet, degree,
     present, stability never bites, so the count factors as the number of
     degree splits, (d + 1)(e + 1) or d + 1, times 2^(n - 4) for the n - 4
     spare marks."""
-    (i, j), (k, l) = pins
-    if len({marks.index(p) for p in (i, j, k, l)}) != 4:
-        raise ValueError("the four pinned marks must be distinct")
+    _pinned(marks, pins)
     splits = prod(part + 1 for part in _degree_parts(degree))
     return splits * 2 ** (marks.size - 4)
 

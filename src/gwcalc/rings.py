@@ -25,10 +25,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .potentials import phi_ijk
-from .series import TruncatedSeries
+from .series import _DOT, TruncatedSeries, _term
 from .targets import P1xP1, ProjectiveSpace, TargetSpace
-
-_DOT = "·"
 
 Monomial = tuple[int, ...]  # exponents of the deformation parameters
 
@@ -126,22 +124,11 @@ class RingElement:
         """Canonical text, e.g. ``q·h0`` or ``T3 + 2·q_v·T2``."""
         if not self.coeffs:
             return "0"
-        names = self.target.params
-        parts = []
-        for basis in sorted(self.coeffs):
-            for mono in sorted(self.coeffs[basis]):
-                coeff = self.coeffs[basis][mono]
-                factors = []
-                for name, power in zip(names, mono):
-                    if power == 1:
-                        factors.append(name)
-                    elif power > 1:
-                        factors.append(f"{name}^{power}")
-                factors.append(self.target.basis_name(basis))
-                if coeff != 1:
-                    factors.insert(0, str(coeff))
-                parts.append(_DOT.join(factors))
-        return " + ".join(parts)
+        names, basis_name = self.target.params, self.target.basis_name
+        return " + ".join(
+            _term(poly[mono], names, mono, basis_name(basis))
+            for basis, poly in sorted(self.coeffs.items())
+            for mono in sorted(poly))
 
     def __repr__(self) -> str:
         return f"RingElement({self.target}, {self.render()})"

@@ -28,10 +28,10 @@ series sort in rising total degree.  When |a| + |b| <= order no digit
 carries, so key(a) + key(b) = key(a + b); and |a| + |b| > order exactly
 when key(a) + key(b) >= R^(n+1).  A product therefore adds keys and stops
 its inner loop at one bound.  Keys are rebuilt only where the order
-changes: ``partial_derivative``, ``truncate``, and sums or products of
-operands of different orders.  Exponent tuples appear only at the
-boundary: the constructor, ``terms``, ``coefficient``, ``leading_term``
-and ``render``.
+changes, through the exponent tuple: ``partial_derivative``, ``truncate``,
+and sums or products of operands of different orders.  Elsewhere exponent
+tuples appear only at the boundary: the constructor and ``coefficient``
+(both check them by ``_degree``), ``terms``, ``leading_term``, ``render``.
 
 ``Fraction`` appears only at the boundary too: the constructor and the
 scalar operands take ints and Fractions, and ``terms`` (a read-only view
@@ -44,6 +44,7 @@ series, so sharing between threads is safe.
 The canonical text form writes terms in lexicographic order of their
 exponent tuples, coefficients as ``num/den``, monomials with an explicit
 caret power, e.g. ``1/2*x0^2*x1`` rendered with a middle dot separator.
+``_term`` writes one term, here and in ``rings``.
 """
 
 from __future__ import annotations
@@ -73,12 +74,7 @@ class TruncatedSeries:
         clean: dict[Exponents, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                if len(exps) != nvars:
-                    raise ValueError(
-                        f"exponent tuple {exps} does not have {nvars} entries")
-                if any(k < 0 for k in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                if sum(exps) > order:
+                if _degree(exps, nvars) > order:
                     continue
                 value = Fraction(coeff)
                 if value:
@@ -144,16 +140,11 @@ class TruncatedSeries:
 
     def coefficient(self, exps: Exponents) -> Fraction:
         """Coefficient of the monomial x^exps (zero if absent)."""
-        key = tuple(exps)
-        if len(key) != self.nvars:
-            raise ValueError(f"exponent tuple {exps} does not have "
-                             f"{self.nvars} entries")
-        if any(k < 0 for k in key):
-            raise ValueError(f"negative exponent in {exps}")
-        if sum(key) > self.order:
+        degree = _degree(exps, self.nvars)
+        if degree > self.order:
             raise ValueError(
-                f"degree {sum(key)} exceeds the trusted order {self.order}")
-        return Fraction(self._nums.get(_pack(key, self.order + 1), 0),
+                f"degree {degree} exceeds the trusted order {self.order}")
+        return Fraction(self._nums.get(_pack(exps, self.order + 1), 0),
                         self._den)
 
     def is_zero(self) -> bool:
@@ -314,22 +305,8 @@ class TruncatedSeries:
         if not self._nums:
             return "0"
         den = self._den
-        parts = []
-        for exps, num in sorted(self._unpacked()):
-            coeff = Fraction(num, den)
-            factors = []
-            for name, k in zip(names, exps):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(_DOT.join(factors))
-            else:
-                parts.append(_DOT.join([str(coeff)] + factors))
-        return " + ".join(parts)
+        return " + ".join(_term(Fraction(num, den), names, exps)
+                          for exps, num in sorted(self._unpacked()))
 
     def _unpacked(self) -> list[tuple[Exponents, int]]:
         """(exponent tuple, numerator) for every stored term."""
@@ -339,6 +316,30 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return (f"TruncatedSeries(nvars={self.nvars}, order={self.order}, "
                 f"{self.render()})")
+
+
+def _degree(exps: Exponents, nvars: int) -> int:
+    """The total degree of x^exps, once the exponents are checked: one per
+    variable, none negative."""
+    if len(exps) != nvars:
+        raise ValueError(
+            f"exponent tuple {exps} does not have {nvars} entries")
+    if any(k < 0 for k in exps):
+        raise ValueError(f"negative exponent in {exps}")
+    return sum(exps)
+
+
+def _term(coeff: Fraction, names: Iterable[str], exps: Exponents,
+          *tail: str) -> str:
+    """The text ``coeff·name^k·…·tail`` of one term: a power 1 is written
+    bare and a power 0 left out, and the coefficient is left out when it
+    is 1 and some factor follows."""
+    factors = [name if k == 1 else f"{name}^{k}"
+               for name, k in zip(names, exps) if k]
+    factors += tail
+    if coeff != 1 or not factors:
+        factors.insert(0, str(coeff))
+    return _DOT.join(factors)
 
 
 def _pack(exps: Exponents, radix: int) -> int:

@@ -21,7 +21,10 @@ the q_g.  A degree is an integer on P^r and a pair (d, e) on P1 x P1;
 An invariant key records a target, a degree and the multiset of basis
 classes fed into the invariant, stored as an exponent vector of occurrence
 counts.  Because only the counts are stored, keys are invariant under
-permutation of the input classes by construction.
+permutation of the input classes by construction.  ``validate_degree``
+(the sign by ``_degree_parts``, which ``partitions`` shares) and
+``_checked_exponents`` (which ``gw.collected_invariant`` shares) check a
+key's input and return the tuples it stores.
 """
 
 from __future__ import annotations
@@ -146,13 +149,23 @@ Degree = Union[int, tuple[int, int]]
 
 
 def validate_degree(target: TargetSpace, degree: Degree) -> Degree:
-    """Check the degree shape and non-negativity for the given target."""
+    """Check the degree shape for the given target, an int on P^r and a
+    pair on P1 x P1 (returned as a tuple), and its sign."""
     if isinstance(target, ProjectiveSpace):
         if not isinstance(degree, int):
             raise ValueError(f"P^r expects an integer degree, got {degree!r}")
+        _degree_parts(degree)
+        return degree
+    d, e = degree
+    return _degree_parts((d, e))
+
+
+def _degree_parts(degree: Degree) -> tuple[int, ...]:
+    """(d,) for a degree, (d, e) for a bidegree; a negative part is refused."""
+    if isinstance(degree, int):
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
-        return degree
+        return (degree,)
     d, e = degree
     if d < 0 or e < 0:
         raise ValueError(f"bidegree components must be >= 0, got ({d}, {e})")
@@ -169,12 +182,22 @@ def exponents_from_classes(target: TargetSpace, classes: Iterable[int]) -> Expon
 
 
 def total_codim(target: TargetSpace, exponents: ExponentVector) -> int:
-    """Sum of input codimensions recorded by an exponent vector."""
+    """Sum of input codimensions recorded by an exponent vector, which
+    ``_checked_exponents`` has already checked."""
+    return sum(sum(word) * a for word, a in zip(target.words, exponents) if a)
+
+
+def _checked_exponents(target: TargetSpace,
+                       exponents: ExponentVector) -> ExponentVector:
+    """The exponent vector as a tuple, once it is checked: one entry per
+    basis class, none negative."""
     if len(exponents) != target.basis_size:
         raise ValueError(
-            f"exponent vector length {len(exponents)} does not match "
-            f"basis size {target.basis_size} of {target}")
-    return sum(sum(word) * a for word, a in zip(target.words, exponents) if a)
+            f"exponent vector length {len(exponents)} does not "
+            f"match basis size {target.basis_size} of {target}")
+    if min(exponents) < 0:  # every basis has at least two classes
+        raise ValueError(f"exponents must be >= 0, got {exponents}")
+    return tuple(exponents)
 
 
 class InvariantKey(_Record):
@@ -183,16 +206,10 @@ class InvariantKey(_Record):
 
     def __init__(self, target: TargetSpace, degree: Degree,
                  exponents: ExponentVector) -> None:
-        validate_degree(target, degree)
-        if len(exponents) != target.basis_size:
-            raise ValueError(
-                f"exponent vector length {len(exponents)} does not "
-                f"match basis size {target.basis_size} of {target}")
-        if any(a < 0 for a in exponents):
-            raise ValueError(f"exponents must be >= 0, got {exponents}")
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "degree", validate_degree(target, degree))
+        object.__setattr__(self, "exponents",
+                           _checked_exponents(target, exponents))
 
     def _values(self) -> tuple:
         return (self.target, self.degree, self.exponents)

@@ -6,6 +6,7 @@ import sys
 import time
 from fractions import Fraction
 from importlib import resources
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -627,3 +628,104 @@ def test_big_product_on_a_wide_projective_space_answers_quickly():
     assert time.monotonic() - started < 2
     assert result.returncode == 0
     assert result.stdout == "(x299)·h0 + (x300)·h1 + (1)·h3\n"
+
+
+def _readme_examples():
+    """(argv, expected stdout or None) for each ``gwcalc`` line of the
+    README's command-line block.  A comment that is a bare value (one word,
+    or a quoted text) is that command's whole stdout."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        section = handle.read().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        words = command.split()
+        if not words or words[0] != "gwcalc":
+            continue
+        argv = words[1:]
+        comment = comment.strip()
+        if comment.startswith('"'):
+            expected = comment[1:].split('"', 1)[0]
+        else:
+            expected = comment if comment and " " not in comment else None
+        examples.append((argv, expected))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_the_readme_lists_its_examples():
+    assert README_EXAMPLES
+    assert any(expected is not None for _, expected in README_EXAMPLES)
+
+
+@pytest.mark.parametrize("argv, expected", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_examples_hold(argv, expected, capsys, monkeypatch,
+                              restore_int_str_limit):
+    monkeypatch.delenv("GW_CACHE", raising=False)
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if expected is not None:
+        assert out == expected + "\n"
+
+
+@pytest.mark.parametrize("target, order, free", [
+    ("p300", 2, 298), ("p10000", 1, 9998), ("p100", 3, 98),
+    ("p1000", 2, 998), ("p4", 3161, 2), ("p10000", 10 ** 1000, 9998),
+])
+def test_a_big_product_past_the_size_bound_exits_2_at_once(
+        target, order, free, capsys, monkeypatch, restore_int_str_limit):
+    # f * C(f + order, order) ints list the free exponent vectors; the first
+    # four took 22 s, 52 s, over 40 s and all memory before the bound, and
+    # p4 ran past 60 s with 1.9 GB at order 1000, a tenth of its listing.
+    monkeypatch.delenv("GW_CACHE", raising=False)
+    started = time.perf_counter()
+    assert main(["qmul", "--target", target, "--big", "--order", str(order),
+                 "h1", "h2"]) == 2
+    assert time.perf_counter() - started < 0.5
+    assert capsys.readouterr() == (
+        "", f"error: --big at order {order} on P^{target[1:]} is too large: "
+        f"with f = {free} free classes, f * C(f + order, order) is over "
+        "10000000\n")
+
+
+@pytest.mark.parametrize("target, order", [
+    ("p1", 10 ** 6), ("p2", 10 ** 6), ("p1xp1", 10 ** 6), ("p3", 10 ** 6),
+    ("p4", 3160),
+])
+def test_the_size_bound_leaves_narrow_targets_to_the_product(
+        target, order, capsys, monkeypatch):
+    # P^1, P^2 and P1xP1 have no free class, P^3 one: no order is refused.
+    from gwcalc import rings
+    monkeypatch.delenv("GW_CACHE", raising=False)
+    monkeypatch.setattr(rings, "big_qmul", lambda a, b: SimpleNamespace(
+        render=lambda: f"order {a.order}"))
+    operands = ["T1", "T2"] if target == "p1xp1" else ["h1", "h1"]
+    assert main(["qmul", "--target", target, "--big", "--order", str(order),
+                 *operands]) == 0
+    assert capsys.readouterr() == (f"order {order}\n", "")
+
+
+def test_a_big_product_below_the_size_bound_answers(
+        capsys, monkeypatch, restore_int_str_limit):
+    monkeypatch.delenv("GW_CACHE", raising=False)
+    assert main(["qmul", "--target", "p1000", "--big", "--order", "1",
+                 "h1", "h2"]) == 0
+    assert capsys.readouterr() == ("(x999)·h0 + (x1000)·h1 + (1)·h3\n", "")
+
+
+def test_a_narrow_big_product_far_past_the_old_size_bound_answers(
+        capsys, monkeypatch):
+    monkeypatch.delenv("GW_CACHE", raising=False)
+    assert main(["qmul", "--target", "p2", "--big", "--order", "300",
+                 "h2", "h2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0d4264d21b7717eb9002c5de9de986befbea6dcb000f353a1b9ee4b9d9deea28")

@@ -435,3 +435,58 @@ def test_invariants_do_not_depend_on_the_recursion_limit():
 def test_p2_invariants_read_the_plane_counts_at_high_degree():
     assert collected_invariant(P2, (0, 0, 1199)) == n_d(400)
     assert collected_invariant(P2, (0, 2, 1199)) == 400 ** 2 * n_d(400)
+
+
+@pytest.mark.parametrize("target, degree, exponents, message", [
+    (P2, 1, (0, 2), "exponent vector length 2 does not match basis size 3 "
+                    "of P^2"),
+    (P1XP1, (1, 1), [0, 0, 0, 3, 0], "exponent vector length 5 does not "
+                                     "match basis size 4 of P1xP1"),
+    (P2, 1, (0, -1, 2), "exponents must be >= 0, got (0, -1, 2)"),
+    (P2, 1, [0, 2, -1], "exponents must be >= 0, got [0, 2, -1]"),
+    (P2, (1, 2), (0, 0, 2), "P^r expects an integer degree, got (1, 2)"),
+    (P2, -1, (0, 0, 2), "degree must be >= 0, got -1"),
+    (P1XP1, (-1, 2), (0, 0, 0, 3), "bidegree components must be >= 0, "
+                                   "got (-1, 2)"),
+    (P1XP1, [1, -2], (0, 0, 0, 3), "bidegree components must be >= 0, "
+                                   "got (1, -2)"),
+])
+def test_invariant_key_errors(target, degree, exponents, message):
+    with pytest.raises(ValueError) as info:
+        InvariantKey(target, degree, exponents)
+    assert str(info.value) == message
+
+
+def test_invariant_key_text():
+    assert str(key(P3, 1, [2, 2, 2, 2])) == "I_1(h2^4) on P^3"
+    assert str(key(P2, 2, [1, 2, 2, 2, 2, 2])) == "I_2(h1*h2^5) on P^2"
+    assert str(key(P1XP1, (1, 1), [3, 3, 3])) == "I_(1, 1)(T3^3) on P1xP1"
+    assert str(key(ProjectiveSpace(1), 1, [])) == "I_1(1) on P^1"
+
+
+def test_projective_space_needs_a_positive_dimension():
+    with pytest.raises(ValueError) as info:
+        ProjectiveSpace(0)
+    assert str(info.value) == "projective space needs r >= 1, got r=0"
+
+
+@pytest.mark.parametrize("exponents, message", [
+    ((0, 2), "exponent vector length 2 does not match basis size 3 of P^2"),
+    ((0, -1, 4), "exponents must be >= 0, got (0, -1, 4)"),
+])
+def test_collected_invariant_checks_the_exponents(exponents, message):
+    with pytest.raises(ValueError) as info:
+        collected_invariant(P2, exponents)
+    assert str(info.value) == message
+
+
+def test_keys_from_lists_and_tuples_are_equal():
+    from_lists = InvariantKey(P1XP1, [1, 1], [0, 0, 0, 3])
+    from_tuples = InvariantKey(P1XP1, (1, 1), (0, 0, 0, 3))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert from_lists.degree == (1, 1)
+    assert from_lists.exponents == (0, 0, 0, 3)
+    on_p3 = InvariantKey(P3, 1, [0, 0, 4, 0])
+    assert on_p3 == key(P3, 1, [2, 2, 2, 2])
+    assert hash(on_p3) == hash(key(P3, 1, [2, 2, 2, 2]))

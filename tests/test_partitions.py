@@ -148,3 +148,21 @@ def test_count_labeled_configurations():
     assert count_labeled_configurations(5, (2, 3)) == 10
     with pytest.raises(ValueError):
         count_labeled_configurations(6, (2, 5))
+
+
+@pytest.mark.parametrize("listing", [enumerate_partitions,
+                                     count_pinned_partitions])
+@pytest.mark.parametrize("degree, pins, message", [
+    (2, (("m1", "m1"), ("p1", "p2")), "the four pinned marks must be distinct"),
+    (2, (("m1", "p2"), ("p1", "p2")), "the four pinned marks must be distinct"),
+    (2, (("m1", "zz"), ("p1", "p2")), "mark 'zz' is not in the mark set"),
+    (-1, (("m1", "zz"), ("p1", "p2")), "mark 'zz' is not in the mark set"),
+    (-1, PINS, "degree must be >= 0, got -1"),
+    ((1, -1), PINS, "bidegree components must be >= 0, got (1, -1)"),
+    ((-3, 0), PINS, "bidegree components must be >= 0, got (-3, 0)"),
+])
+def test_listing_and_count_refuse_the_same_input(listing, degree, pins,
+                                                 message):
+    with pytest.raises(ValueError) as info:
+        listing(MarkSet.standard(6), degree, pins)
+    assert str(info.value) == message

@@ -272,3 +272,72 @@ def test_big_commutativity_random_elements():
                 return BigQuantumElement(target, order, comps)
             a, b = rand_big(), rand_big()
             assert big_qmul(a, b) == big_qmul(b, a)
+
+
+def test_parameter_powers_render_with_a_caret():
+    assert h(1, 2, mono=(2,)).render() == "q^2·h1"
+    assert h(0, 2, Fraction(-3, 2), (1,)).render() == "-3/2·q·h0"
+    assert T(3, 2, (1, 2)).render() == "2·q_v·q_h^2·T3"
+    assert (T(1, mono=(0, 3)) + T(0)).render() == "T0 + q_h^3·T1"
+    assert repr(h(1, 2, mono=(2,))) == "RingElement(P^2, q^2·h1)"
+
+
+def test_ring_element_arithmetic_and_hash():
+    a = h(1, 2, Fraction(2, 3), (1,)) + h(2, 2)
+    assert a.scale(Fraction(3, 2)) == h(1, 2, 1, (1,)) + h(2, 2, Fraction(3, 2))
+    assert a.scale(0).is_zero()
+    assert -a == h(1, 2, Fraction(-2, 3), (1,)) + h(2, 2, -1)
+    assert (a - a).is_zero()
+    assert a - h(2, 2) == h(1, 2, Fraction(2, 3), (1,))
+    rebuilt = RingElement(P2, {2: {(0,): 1}, 1: {(1,): Fraction(2, 3)}})
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    assert {a: 1}[rebuilt] == 1
+
+
+@pytest.mark.parametrize("mono", [(0, 1), (-1,), ()])
+def test_bad_parameter_monomials_are_refused(mono):
+    with pytest.raises(ValueError) as info:
+        RingElement(P2, {1: {mono: 1}})
+    assert str(info.value) == f"bad parameter monomial {mono}"
+
+
+def test_star_power_needs_a_positive_exponent():
+    assert star_power(h(1, 2), 1) == h(1, 2)
+    with pytest.raises(ValueError) as info:
+        star_power(h(1, 2), 0)
+    assert str(info.value) == "exponent must be >= 1, got 0"
+
+
+def test_big_zero_hash_and_repr():
+    zero = BigQuantumElement.zero(P2, 3)
+    a = BigQuantumElement.basis(P2, 1, 3)
+    assert zero.is_zero() and zero.render() == "0"
+    assert a - a == zero and a + zero == a
+    assert zero.order == 3 and zero.component(1) == TruncatedSeries.zero(3, 3)
+    again = BigQuantumElement.basis(P2, 1, 3)
+    assert again == a and hash(again) == hash(a)
+    assert repr(a) == "BigQuantumElement(P^2, order=3)"
+    assert repr(BigQuantumElement.zero(P1XP1, 0)) == (
+        "BigQuantumElement(P1xP1, order=0)")
+
+
+@pytest.mark.parametrize("components, message", [
+    ([TruncatedSeries.zero(3, 2)] * 2, "expected 3 component series, got 2"),
+    ([TruncatedSeries.zero(3, 2)] * 2 + [TruncatedSeries.zero(2, 2)],
+     "component series must use one variable per basis class"),
+    ([TruncatedSeries.zero(3, 2)] * 2 + [TruncatedSeries.zero(3, 1)],
+     "all component series must share the truncation order"),
+])
+def test_big_constructor_errors(components, message):
+    with pytest.raises(ValueError) as info:
+        BigQuantumElement(P2, 2, components)
+    assert str(info.value) == message
+
+
+def test_big_target_mismatch():
+    a = BigQuantumElement.basis(P2, 1, 2)
+    b = BigQuantumElement.basis(ProjectiveSpace(1), 1, 2)
+    for op in (lambda: a + b, lambda: big_qmul(a, b), lambda: b - a):
+        with pytest.raises(ValueError) as info:
+            op()
+        assert str(info.value) == "target mismatch"

@@ -344,3 +344,58 @@ def test_packed_keys_match_a_tuple_keyed_reference(case, data):
         check_against(a.substitute_zero(var),
                       {e: c for e, c in ref_a.items() if not e[var]},
                       nvars, order_a)
+
+
+def test_monomial_and_repr():
+    s = TruncatedSeries.monomial(2, 3, [1, 2], Fraction(1, 2))
+    assert s.terms == {(1, 2): Fraction(1, 2)}
+    assert TruncatedSeries.monomial(2, 3, (0, 0)) == \
+        TruncatedSeries.constant(2, 3, 1)
+    assert TruncatedSeries.monomial(2, 2, (1, 2)).is_zero()
+    assert repr(s) == "TruncatedSeries(nvars=2, order=3, 1/2·x0·x1^2)"
+    assert repr(TruncatedSeries.zero(1, 0)) == \
+        "TruncatedSeries(nvars=1, order=0, 0)"
+
+
+@pytest.mark.parametrize("nvars, order, terms, message", [
+    (0, 2, {}, "need at least one variable, got 0"),
+    (2, -1, {}, "truncation order must be >= 0, got -1"),
+    (2, 2, {(1,): 1}, "exponent tuple (1,) does not have 2 entries"),
+    (2, 2, {(1, 0, 0): 1}, "exponent tuple (1, 0, 0) does not have 2 entries"),
+    (2, 2, {(1, -1): 1}, "negative exponent in (1, -1)"),
+    (2, 2, {(5, -1): 1}, "negative exponent in (5, -1)"),
+])
+def test_constructor_errors(nvars, order, terms, message):
+    with pytest.raises(ValueError) as info:
+        TruncatedSeries(nvars, order, terms)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: s.coefficient((1,)), "exponent tuple (1,) does not have 2 "
+                                    "entries"),
+    (lambda s: s.coefficient([1, 0, 0]), "exponent tuple [1, 0, 0] does not "
+                                         "have 2 entries"),
+    (lambda s: s.coefficient([0, -2]), "negative exponent in [0, -2]"),
+    (lambda s: s.coefficient((2, 2)), "degree 4 exceeds the trusted order 3"),
+    (lambda s: s.truncate(-1), "truncation order must be >= 0, got -1"),
+    (lambda s: s.truncate(4), "cannot extend trusted order 3 to 4"),
+    (lambda s: s.partial_derivative(2), "variable index 2 out of range"),
+    (lambda s: s.partial_derivative(-1), "variable index -1 out of range"),
+    (lambda s: s.substitute_zero(2), "variable index 2 out of range"),
+    (lambda s: s.substitute_zero(-1), "variable index -1 out of range"),
+])
+def test_query_errors(call, message):
+    s = TruncatedSeries(2, 3, {(1, 0): 1, (1, 2): Fraction(1, 2)})
+    with pytest.raises(ValueError) as info:
+        call(s)
+    assert str(info.value) == message
+    assert s.coefficient([1, 2]) == Fraction(1, 2)
+
+
+def test_parse_refuses_a_variable_out_of_range():
+    assert parse_series("x1^2 + 1/2·x0", 2, 3) == TruncatedSeries(
+        2, 3, {(0, 2): 1, (1, 0): Fraction(1, 2)})
+    with pytest.raises(ValueError) as info:
+        parse_series("x0 + x2", 2, 3)
+    assert str(info.value) == "variable x2 out of range"
