@@ -35,7 +35,6 @@ import argparse
 import os
 import sys
 import time
-from math import comb
 
 # Only what parsing, GW_CACHE and nd/nde need loads with the module; each
 # other subcommand imports its own layers, so a light call stays light.
@@ -56,14 +55,6 @@ class VerificationError(Exception):
 # linearly in r before any gate runs: at r = 4,000,000 a one-line answer
 # takes seconds and hundreds of megabytes, at this bound no visible time.
 _MAX_R = 10000
-
-# ``potentials._Expansion`` lists, for a big product, every exponent vector
-# of total <= order over the f free classes (those of codimension >= 2 but
-# the last, r - 2 on P^r and none on P^1, P^2 or P1xP1): C(f + order, order)
-# vectors of f ints.  Past this many ints a product is refused: on a 2-vCPU
-# host p3000 at order 1 (9.0e6) answered in 3.3 s, p300 at order 2 (1.3e7)
-# took 22 s.
-_MAX_BIG_LISTING = 10 ** 7
 
 
 def _parse_target(text: str) -> TargetSpace:
@@ -93,6 +84,14 @@ def _parse_degree(target: TargetSpace, text: str):
         raise UsageError(f"degree {text!r} does not match the target "
                          f"(expected {','.join('de'[:n])})")
     return degree if n > 1 else degree[0]
+
+
+def _order(given: int | None, default: int | None = None) -> int | None:
+    """``--order``, or ``default`` when it is not given; never negative."""
+    order = default if given is None else given
+    if order is not None and order < 0:
+        raise UsageError(f"--order must be >= 0, got {order}")
+    return order
 
 
 def _parse_classes(target: TargetSpace, text: str) -> ExponentVector:
@@ -264,19 +263,13 @@ def _cmd_qmul(args) -> dict:
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.big:
-        order = args.order if args.order is not None else 4
-        if order < 0:
-            raise UsageError(f"--order must be >= 0, got {order}")
-        free = max(sum(target.codim(c) >= 2
-                       for c in range(target.basis_size)) - 1, 0)
-        k = min(order, _MAX_BIG_LISTING)  # any f >= 1 is over by then
-        if free * comb(free + k, k) > _MAX_BIG_LISTING:
-            raise UsageError(
-                f"--big at order {order} on {target} is too large: with "
-                f"f = {free} free classes, f * C(f + order, order) is over "
-                f"{_MAX_BIG_LISTING}")
-        product = big_qmul(BigQuantumElement.basis(target, i, order),
-                           BigQuantumElement.basis(target, j, order))
+        order = _order(args.order, 4)
+        a = BigQuantumElement.basis(target, i, order)
+        b = BigQuantumElement.basis(target, j, order)
+        try:
+            product = big_qmul(a, b)
+        except ValueError as exc:  # the library's size bound
+            raise UsageError(f"--big at {exc}")
         inputs = {"target": args.target, "big": True, "order": order,
                   "operands": list(args.operands)}
     else:
@@ -291,8 +284,7 @@ def _cmd_wdvv(args) -> dict:
     from .potentials import wdvv_residual_p1x1, wdvv_residual_p2
     from .series import TruncatedSeries
     target = _parse_target(args.target)
-    if args.order < 0:
-        raise UsageError(f"--order must be >= 0, got {args.order}")
+    _order(args.order)
     if isinstance(target, ProjectiveSpace):
         if target.r != 2:
             raise UsageError("wdvv verification covers p2 and p1xp1")
@@ -315,10 +307,8 @@ def _cmd_potential(args) -> dict:
                              quantum_potential_p1x1,
                              quantum_potential_p2_reduced)
     target = _parse_target(args.target)
-    if args.order is not None and args.order < 0:
-        raise UsageError(f"--order must be >= 0, got {args.order}")
+    order = _order(args.order, 6 if args.quantum else None)
     if args.quantum:
-        order = args.order if args.order is not None else 6
         if isinstance(target, ProjectiveSpace) and target.r == 1:
             series = gw_potential_p1(order)
             text = series.render()
@@ -338,8 +328,8 @@ def _cmd_potential(args) -> dict:
             series = classical_potential(target)
         except ValueError as exc:
             raise UsageError(str(exc))
-        if args.order is not None:
-            series = series.truncate(min(args.order, series.order))
+        if order is not None:
+            series = series.truncate(min(order, series.order))
         text = series.render()
     return _text_record({"target": args.target, "order": args.order,
                          "quantum": bool(args.quantum)}, "series", text)

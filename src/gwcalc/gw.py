@@ -36,6 +36,14 @@ which the potentials call directly; ``Fraction`` appears only in the
 values the public functions return.  The memo is keyed by stripped keys,
 is write-once, and holds values independent of evaluation order, so
 concurrent use is safe.
+
+A memo key is (r, width, d, packed) (``_key``): the exponent tuple packed
+into one int with exps[k] in the width-bit digit k, so each side key of a
+split is one int addition away from the split's own packed multiset.  The
+width is 16 bits, or the bit length of the mark count n when that is
+wider; no side key has more marks than the key it splits, so every key
+below a query fits the query's width and every query with n < 65,536
+shares one key space.
 """
 
 from __future__ import annotations
@@ -48,7 +56,8 @@ from .targets import (Degree, ExponentVector, InvariantKey, P1xP1,
                       ProjectiveSpace, TargetSpace, _checked_exponents,
                       total_codim, validate_degree)
 
-_PR_CACHE: dict[tuple[int, int, ExponentVector], int] = {}
+_MemoKey = tuple[int, int, int, int]  # (r, width, d, packed), see _key
+_PR_CACHE: dict[_MemoKey, int] = {}
 
 
 def clear_caches() -> None:
@@ -179,17 +188,36 @@ def _invariant(target: TargetSpace, degree: Degree, exps: ExponentVector
         return mult * n_d(degree)
     if sum(exps) < 3:  # a line through two points
         return mult
-    key = (target.r, degree, exps)
+    key = _key(target.r, degree, exps)
     value = _PR_CACHE.get(key)
     return mult * (_reconstructed(key) if value is None else value)
 
 
-def _reconstructed(key: tuple[int, int, ExponentVector]) -> int:
-    """The invariant of a stripped key (r, d, exps) with at least three marks.
-    A frame holds a key and its ``_reconstruct`` generator; a side key the
-    generator yields gets a frame of its own, and a finished frame writes
-    its value to the memo and sends it to the frame below."""
-    stack = [(key, _reconstruct(*key))]
+def _key(r: int, d: int, exps: ExponentVector) -> _MemoKey:
+    """The memo key (r, width, d, packed) of a stripped exponent tuple.
+
+    ``packed`` holds exps[k] in the width-bit digit k.  No digit exceeds
+    the mark count n, and no side key has more marks than the key it
+    splits, so the width max(16, n.bit_length()) set here holds every key
+    below this one without a carry between digits.
+    """
+    width = max(16, sum(exps).bit_length())
+    return r, width, d, sum(a << (width * k) for k, a in enumerate(exps) if a)
+
+
+def _exponents(key: _MemoKey) -> ExponentVector:
+    """The exponent tuple of a memo key, undoing ``_key``."""
+    r, width, _, packed = key
+    mask = (1 << width) - 1
+    return tuple(packed >> (width * k) & mask for k in range(r + 1))
+
+
+def _reconstructed(key: _MemoKey) -> int:
+    """The invariant of a stripped memo key (``_key``) with at least three
+    marks.  A frame holds a key and its ``_reconstruct`` generator; a side
+    key the generator yields gets a frame of its own, and a finished frame
+    writes its value to the memo and sends it to the frame below."""
+    stack = [(key, _reconstruct(key))]
     value = None
     while stack:
         key, frame = stack[-1]
@@ -199,12 +227,12 @@ def _reconstructed(key: tuple[int, int, ExponentVector]) -> int:
             stack.pop()
             _PR_CACHE[key] = value = done.value
         else:
-            stack.append((child, _reconstruct(*child)))
+            stack.append((child, _reconstruct(child)))
             value = None
     return value
 
 
-def _reconstruct(r: int, d: int, exps: ExponentVector):
+def _reconstruct(key: _MemoKey):
     """Isolate I_d(exps) from the boundary-divisor balance equation: a
     generator that yields each side key the memo lacks and is sent its value.
 
@@ -235,21 +263,32 @@ def _reconstruct(r: int, d: int, exps: ExponentVector):
     side's degree, and any other mark adds one to an exponent.  A side left
     with fewer than three marks is a line through two points, value one;
     any other side is read from the memo, or yielded when the memo lacks it.
+
+    The frame unpacks its own key once.  After that every multiset is one
+    packed int in the key's width (``_key``): the split table holds S, S'
+    is the packed free multiset minus S, and a side key is S or S' plus
+    1 << width * k per added mark h^k.  Those shifts are made where they
+    are used: a table of all r + 1 of them would hold O(r^2 width) bits,
+    about 100 MB per frame on P^10000.
     """
+    r, width, d, packed = key
+    exps = _exponents(key)
     c, *_, b2, b1 = [i for i in range(2, r + 1) for _ in range(exps[i])]
     free = [a - (i == c) - (i == b1) - (i == b2) for i, a in enumerate(exps)]
     n_free = sum(free)
-    splits = [((), (), 1, 0, 0)]  # (S, S', labeled mark subsets, w, |S|)
+    splits = [(0, 1, 0, 0)]  # (S packed, labeled mark subsets, w, |S|)
     for k, count in enumerate(free):
-        splits = [(sub + (s,), comp + (count - s,), ways * comb(count, s),
-                   w + (k - 1) * s, n + s)
-                  for sub, comp, ways, w, n in splits
-                  for s in range(count + 1)]
+        if count:
+            splits = [(sub + (s << width * k), ways * comb(count, s),
+                       w + (k - 1) * s, n + s)
+                      for sub, ways, w, n in splits
+                      for s in range(count + 1)]
+    whole_b2 = packed - (1 << width * c) - (1 << width * b1)  # S' + h^b2 + S
     # (x, y, sign): A holds h^1.h^x, B holds h^y.h^b2, the left side counts -1
     both = ((c - 1, b1, -1), (b1, c - 1, 1))
     memo = _PR_CACHE.get
     total = 0
-    for sub, comp, ways, w, n in splits:
+    for sub, ways, w, n in splits:
         for x, y, sign in both if w else both[1:]:
             da, j = divmod(w + x + 1, r + 1)
             db = d - da
@@ -263,21 +302,21 @@ def _reconstruct(r: int, d: int, exps: ExponentVector):
             elif not i:  # h^0 in positive degree
                 continue
             else:  # the h^1 mark gives da
-                fa, marks, key = da, n, list(sub)
+                fa, marks, side = da, n, sub
                 if x > 1:
-                    key[x] += 1
+                    side += 1 << width * x
                     marks += 1
                 else:
                     fa *= da
                 if i > 1:
-                    key[i] += 1
+                    side += 1 << width * i
                     marks += 1
                 else:
                     fa *= da
                 if marks > 2:
-                    key = (r, da, tuple(key))
-                    value = memo(key)
-                    fa *= (yield key) if value is None else value
+                    side = (r, width, da, side)
+                    value = memo(side)
+                    fa *= (yield side) if value is None else value
                     if not fa:
                         continue
             if not db:  # I_0(h^y.h^b2.S'.h^j)
@@ -287,22 +326,21 @@ def _reconstruct(r: int, d: int, exps: ExponentVector):
             elif not j:  # h^0 in positive degree
                 continue
             else:  # the h^b2 mark adds one
-                fb, marks, key = 1, n_free - n + 1, list(comp)
-                key[b2] += 1
+                fb, marks, side = 1, n_free - n + 1, whole_b2 - sub
                 if y > 1:
-                    key[y] += 1
+                    side += 1 << width * y
                     marks += 1
                 else:
                     fb = db
                 if j > 1:
-                    key[j] += 1
+                    side += 1 << width * j
                     marks += 1
                 else:
                     fb *= db
                 if marks > 2:
-                    key = (r, db, tuple(key))
-                    value = memo(key)
-                    fb *= (yield key) if value is None else value
+                    side = (r, width, db, side)
+                    value = memo(side)
+                    fb *= (yield side) if value is None else value
             total += sign * ways * fa * fb
     return total
 

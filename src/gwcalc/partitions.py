@@ -134,19 +134,20 @@ def enumerate_partitions(marks: MarkSet, degree,
     the A side in mark-set order.
     """
     pinned = i, j, k, l = _pinned(marks, pins)
+    degrees = list(_degree_splits(degree))
     spare = [m for m in marks if m not in pinned]
-    out: list[WeightedPartition] = []
-    order = {label: pos for pos, label in enumerate(marks)}
-    for da, db, ea, eb in _degree_splits(degree):
-        for mask in range(1 << len(spare)):
-            side_a = [spare[t] for t in range(len(spare)) if mask >> t & 1]
-            side_b = [spare[t] for t in range(len(spare)) if not mask >> t & 1]
-            a = sorted([i, j] + side_a, key=order.__getitem__)
-            b = sorted([k, l] + side_b, key=order.__getitem__)
-            out.append(WeightedPartition(tuple(a), tuple(b), da, db, ea, eb))
-    out.sort(key=lambda p: (p.d_a, p.e_a or 0,
-                            tuple(order[m] for m in p.a)))
-    return out
+    order = {label: pos for pos, label in enumerate(marks)}.__getitem__
+    sides = []
+    for mask in range(1 << len(spare)):
+        side_a = [m for t, m in enumerate(spare) if mask >> t & 1]
+        side_b = [m for t, m in enumerate(spare) if not mask >> t & 1]
+        sides.append((tuple(sorted([i, j] + side_a, key=order)),
+                      tuple(sorted([k, l] + side_b, key=order))))
+    # The degree splits come in ascending order, so one sort of the mark
+    # splits puts the whole list in canonical order.
+    sides.sort(key=lambda ab: list(map(order, ab[0])))
+    return [WeightedPartition(a, b, da, db, ea, eb)
+            for da, db, ea, eb in degrees for a, b in sides]
 
 
 def count_pinned_partitions(marks: MarkSet, degree,

@@ -28,7 +28,7 @@ import functools
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from math import prod
+from math import comb, prod
 from operator import mul
 from typing import Callable
 
@@ -102,6 +102,15 @@ def gw_potential_p1(order: int) -> TruncatedSeries:
     return TruncatedSeries(2, order, terms)
 
 
+# An expansion lists every exponent vector of total <= order over its f free
+# classes (the placed classes but the last, r - 2 on P^r when every class is
+# kept, none on P^1, P^2 or P1xP1): C(f + order, order) vectors of f ints.
+# Past this many ints a table is refused before any listing: on a 2-vCPU
+# host p3000 at order 1 (9.0e6) answered in 3.3 s, p300 at order 2 (1.3e7)
+# took 22 s.
+_MAX_LISTING = 10 ** 7
+
+
 class _Expansion:
     """What ``_quantum_part`` needs of one (target, order, keep), whatever
     the index triple, so the structure constants of one WDVV residual or
@@ -138,6 +147,12 @@ class _Expansion:
                                 for c in range(target.basis_size)]
         self.divisors = divisors = [c for c in keep if weight[c] == 0]
         self.placed = placed = [c for c in keep if weight[c] > 0]
+        f = max(len(placed) - 1, 0)
+        k = min(order, _MAX_LISTING)  # any f >= 1 is over by then
+        if f * comb(f + k, k) > _MAX_LISTING:
+            raise ValueError(
+                f"order {order} on {target} is too large: with f = {f} free "
+                f"classes, f * C(f + order, order) is over {_MAX_LISTING}")
         self.top = weight[placed[-1]] if placed else 0
         self.bound = (order + 1) ** (len(keep) + 1)
         self.facts = facts = list(accumulate(range(1, order + 1), mul,

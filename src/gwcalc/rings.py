@@ -318,7 +318,10 @@ class BigQuantumElement:
 def big_qmul(a: BigQuantumElement, b: BigQuantumElement) -> BigQuantumElement:
     """Big quantum product: T_i * T_j = sum_f Phi_(i,j,m-1-f) T_f, extended
     bilinearly over the coefficient series.  Both bases (of size m) are
-    self-dual in reverse order: h^f pairs with h^(r-f), T_f with T_(3-f)."""
+    self-dual in reverse order: h^f pairs with h^(r-f), T_f with T_(3-f).
+
+    Raises ValueError when the structure constants' expansion is too large
+    to list (``potentials._Expansion``), before any coefficient product."""
     a._check(b)
     target = a.target
     order = a.order
@@ -332,10 +335,12 @@ def big_qmul(a: BigQuantumElement, b: BigQuantumElement) -> BigQuantumElement:
             bj = b.components[j]
             if bj.is_zero():
                 continue
-            factor = ai * bj
+            factor = None
             for f in range(m):
                 phi = phi_ijk(target, i, j, m - 1 - f, order)
                 if phi.is_zero():
                     continue
+                if factor is None:
+                    factor = ai * bj
                 out[f] = out[f] + factor * phi
     return BigQuantumElement(target, order, out)

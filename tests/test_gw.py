@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -406,10 +407,13 @@ def test_one_slot_per_split_matches_the_full_scan(r, top):
         for d in range(1, top + 1):
             for base in stripped_admissible_pr(r, d):
                 if sum(base) >= 3:
-                    assert gw_module._reconstructed((r, d, base)) == \
+                    assert gw_module._reconstructed(
+                        gw_module._key(r, d, base)) == \
                         reference_invariant(r, d, base, memo), (r, d, base)
                     checked += 1
-        for (rr, d, exps), value in gw_module._PR_CACHE.items():
+        for key, value in gw_module._PR_CACHE.items():
+            rr, _, d, _ = key
+            exps = gw_module._exponents(key)
             assert rr == r and d >= 1 and len(exps) == r + 1, (rr, d, exps)
             assert exps[0] == exps[1] == 0 and sum(exps) >= 3, (d, exps)
             assert value == reference_invariant(rr, d, exps, memo)
@@ -425,11 +429,44 @@ def test_invariants_do_not_depend_on_the_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(120)
     try:
-        got = (gw_invariant(p3), gw_module._reconstructed((2, 30, (0, 0, 89))))
+        got = (gw_invariant(p3), gw_module._reconstructed(
+            gw_module._key(2, 30, (0, 0, 89))))
     finally:
         sys.setrecursionlimit(limit)
         gw_module.clear_caches()
     assert got == (expected, n_d(30))
+
+
+def test_queries_past_255_marks_share_one_key_space():
+    # Every key below a query packs its exponents in the query's digit
+    # width, which only a query of 65,536 or more marks widens.  The memo
+    # grows by just the entries each query adds: the third query, past 255
+    # marks, reuses the first two's instead of filling a second key space.
+    gw_module.clear_caches()
+    try:
+        for d, points, digest, entries in [
+                (40, 160, "acdee281d8b1afdd", 119),
+                (64, 256, "b311a5e7c648d2f3", 191),
+                (70, 280, "53002b121b0560e6", 209)]:
+            value = gw_invariant(InvariantKey(P3, d, (0, 0, points, 0)))
+            assert hashlib.sha256(str(value).encode()).hexdigest()[:16] \
+                == digest, d
+            assert len(gw_module._PR_CACHE) == entries, d
+    finally:
+        gw_module.clear_caches()
+
+
+@pytest.mark.parametrize("r, exps", [
+    (3, (0, 0, 2 ** 16 - 1, 0)),
+    (3, (0, 0, 2 ** 16, 0)),
+    (4, (0, 0, 2 ** 16 + 1, 3, 2 ** 17)),
+    (5, (0, 0, 0, 2 ** 40, 1, 2 ** 40 - 1)),
+])
+def test_memo_keys_unpack_to_their_exponents(r, exps):
+    key = gw_module._key(r, 7, exps)
+    assert key[0] == r and key[2] == 7
+    assert key[1] == max(16, sum(exps).bit_length())
+    assert gw_module._exponents(key) == exps
 
 
 def test_p2_invariants_read_the_plane_counts_at_high_degree():

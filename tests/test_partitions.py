@@ -8,6 +8,9 @@ from gwcalc.partitions import (MarkSet, WeightedPartition,
                                count_labeled_configurations,
                                count_pinned_partitions, enumerate_partitions,
                                stratum_dimension)
+from gwcalc.surfaces import n_d, n_de
+
+from reference_counts import partition_n_d, partition_n_de
 
 PINS = (("m1", "m2"), ("p1", "p2"))
 
@@ -166,3 +169,18 @@ def test_listing_and_count_refuse_the_same_input(listing, degree, pins,
     with pytest.raises(ValueError) as info:
         listing(MarkSet.standard(6), degree, pins)
     assert str(info.value) == message
+
+
+def test_the_first_proof_over_the_enumerated_divisors_gives_the_counts():
+    # The paper's first proof: the relation D(m1 m2 | p1 p2) = D(m1 p1 |
+    # m2 p2), scored over the divisors ``enumerate_partitions`` lists
+    # (each listing's length checked against ``count_pinned_partitions``),
+    # against the curve-count tables, which share no code with it.
+    started = time.perf_counter()
+    assert partition_n_d(5) == [0] + [n_d(d) for d in range(1, 6)]
+    counts = partition_n_de(6)
+    assert len(counts) == 27
+    for (d, e), value in counts.items():
+        assert value == n_de(d, e), (d, e)
+    assert (counts[(2, 4)], counts[(3, 3)], counts[(2, 3)]) == (640, 3510, 96)
+    assert time.perf_counter() - started < 1.0

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -251,6 +252,21 @@ def test_big_order_mismatch():
     b = BigQuantumElement.basis(P2, 1, 4)
     with pytest.raises(ValueError):
         big_qmul(a, b)
+
+
+@pytest.mark.parametrize("r, order", [(1000, 2), (10000, 10 ** 1000)])
+def test_big_product_past_the_size_bound_raises_at_once(r, order):
+    # f * C(f + order, order) > 10^7 ints of free exponent vectors, with
+    # f = r - 2: p1000 at order 2 was killed after 57 s without the bound,
+    # and at order 10^1000 one coefficient product alone takes seconds.
+    target = ProjectiveSpace(r)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=(
+            rf"^order {order} on P\^{r} is too large: with f = {r - 2} free "
+            r"classes, f \* C\(f \+ order, order\) is over 10000000$")):
+        big_qmul(BigQuantumElement.basis(target, 1, order),
+                 BigQuantumElement.basis(target, 2, order))
+    assert time.perf_counter() - started < 0.5
 
 
 def test_big_commutativity_random_elements():
