@@ -255,6 +255,7 @@ def _cmd_gw(args) -> dict:
 
 
 def _cmd_qmul(args) -> dict:
+    from .potentials import _ListingTooLarge
     from .rings import BigQuantumElement, RingElement, big_qmul, small_qmul
     target = _parse_target(args.target)
     try:
@@ -268,7 +269,7 @@ def _cmd_qmul(args) -> dict:
         b = BigQuantumElement.basis(target, j, order)
         try:
             product = big_qmul(a, b)
-        except ValueError as exc:  # the library's size bound
+        except _ListingTooLarge as exc:
             raise UsageError(f"--big at {exc}")
         inputs = {"target": args.target, "big": True, "order": order,
                   "operands": list(args.operands)}

@@ -111,6 +111,22 @@ def gw_potential_p1(order: int) -> TruncatedSeries:
 _MAX_LISTING = 10 ** 7
 
 
+class _ListingTooLarge(ValueError):
+    """An expansion whose free listing is past ``_MAX_LISTING`` ints."""
+
+
+def _check_listing(target: TargetSpace, order: int,
+                   keep: tuple[int, ...]) -> None:
+    """Raise ``_ListingTooLarge`` when the expansion of (target, order,
+    keep) would list more than ``_MAX_LISTING`` ints of free vectors."""
+    f = max(sum(target.codim(c) >= 2 for c in keep) - 1, 0)
+    k = min(order, _MAX_LISTING)  # any f >= 1 is over by then
+    if f * comb(f + k, k) > _MAX_LISTING:
+        raise _ListingTooLarge(
+            f"order {order} on {target} is too large: with f = {f} free "
+            f"classes, f * C(f + order, order) is over {_MAX_LISTING}")
+
+
 class _Expansion:
     """What ``_quantum_part`` needs of one (target, order, keep), whatever
     the index triple, so the structure constants of one WDVV residual or
@@ -143,16 +159,11 @@ class _Expansion:
 
     def __init__(self, target: TargetSpace, order: int,
                  keep: tuple[int, ...]):
+        _check_listing(target, order, keep)
         self.weight = weight = [target.codim(c) - 1
                                 for c in range(target.basis_size)]
         self.divisors = divisors = [c for c in keep if weight[c] == 0]
         self.placed = placed = [c for c in keep if weight[c] > 0]
-        f = max(len(placed) - 1, 0)
-        k = min(order, _MAX_LISTING)  # any f >= 1 is over by then
-        if f * comb(f + k, k) > _MAX_LISTING:
-            raise ValueError(
-                f"order {order} on {target} is too large: with f = {f} free "
-                f"classes, f * C(f + order, order) is over {_MAX_LISTING}")
         self.top = weight[placed[-1]] if placed else 0
         self.bound = (order + 1) ** (len(keep) + 1)
         self.facts = facts = list(accumulate(range(1, order + 1), mul,

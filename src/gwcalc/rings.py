@@ -321,7 +321,8 @@ def big_qmul(a: BigQuantumElement, b: BigQuantumElement) -> BigQuantumElement:
     self-dual in reverse order: h^f pairs with h^(r-f), T_f with T_(3-f).
 
     Raises ValueError when the structure constants' expansion is too large
-    to list (``potentials._Expansion``), before any coefficient product."""
+    to list (``potentials._check_listing``), before any coefficient
+    product."""
     a._check(b)
     target = a.target
     order = a.order

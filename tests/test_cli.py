@@ -702,10 +702,17 @@ def test_a_big_product_past_the_size_bound_exits_2_at_once(
 def test_the_size_bound_leaves_narrow_targets_to_the_product(
         target, order, capsys, monkeypatch):
     # P^1, P^2 and P1xP1 have no free class, P^3 one: no order is refused.
-    from gwcalc import rings
+    # The stub runs the library's own bound, over every class as phi_ijk
+    # keeps them, and stops before the product itself.
+    from gwcalc import potentials, rings
+
+    def bounded(a, b):
+        potentials._check_listing(a.target, a.order,
+                                  tuple(range(a.target.basis_size)))
+        return SimpleNamespace(render=lambda: f"order {a.order}")
+
     monkeypatch.delenv("GW_CACHE", raising=False)
-    monkeypatch.setattr(rings, "big_qmul", lambda a, b: SimpleNamespace(
-        render=lambda: f"order {a.order}"))
+    monkeypatch.setattr(rings, "big_qmul", bounded)
     operands = ["T1", "T2"] if target == "p1xp1" else ["h1", "h1"]
     assert main(["qmul", "--target", target, "--big", "--order", str(order),
                  *operands]) == 0

@@ -253,3 +253,25 @@ def test_clear_caches_leaves_no_table_behind():
     potentials.clear_caches()
     assert {name: len(value) for name, value in tables.items()} == \
         dict.fromkeys(tables, 0)
+
+
+@pytest.mark.parametrize("target, order", [
+    (ProjectiveSpace(1), 10 ** 6), (ProjectiveSpace(2), 10 ** 6),
+    (P1XP1, 10 ** 6), (ProjectiveSpace(3), 10 ** 6),
+    (ProjectiveSpace(4), 3160),
+])
+def test_the_listing_bound_leaves_narrow_targets_to_the_product(
+        target, order):
+    # P^1, P^2 and P1xP1 have no free class and P^3 one, so no order of
+    # theirs is refused; P^4 (f = 2) lists 9,995,082 ints at order 3160.
+    from gwcalc.potentials import _check_listing
+    _check_listing(target, order, tuple(range(target.basis_size)))
+
+
+def test_the_listing_bound_refuses_p4_from_order_3161():
+    # 2 * C(3163, 3161) = 10,001,406 ints, one order past the last allowed.
+    from gwcalc.potentials import _ListingTooLarge, _check_listing
+    with pytest.raises(_ListingTooLarge, match=(
+            r"^order 3161 on P\^4 is too large: with f = 2 free classes, "
+            r"f \* C\(f \+ order, order\) is over 10000000$")):
+        _check_listing(ProjectiveSpace(4), 3161, tuple(range(5)))
