@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -238,6 +239,31 @@ def test_partition_count_takes_the_closed_form(monkeypatch, capsys):
     assert main(["partitions", "--marks", "64", "--degree", "1,1",
                  "--pins", "m1,m2:p1,p2", "--count"]) == 0
     assert capsys.readouterr().out == "4611686018427387904\n"
+
+
+def test_a_listing_past_the_partition_bound_exits_2_at_once(capsys):
+    # 2 degree splits times 2^26 sides: --count answers, the listing is
+    # refused before any partition is built.
+    argv = ["partitions", "--marks", "30", "--degree", "1",
+            "--pins", "m1,m2:p1,p2"]
+    assert main([*argv, "--count"]) == 0
+    assert capsys.readouterr() == ("134217728\n", "")
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr() == (
+        "", f"error: 134217728 partitions are over the listing bound of "
+        f"{cli._MAX_PARTITIONS}; --count gives their number\n")
+
+
+def test_a_listing_at_the_partition_bound_answers(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_PARTITIONS", 32)
+    argv = ["partitions", "--degree", "1,1", "--pins", "m1,m2:p1,p2"]
+    assert main([*argv, "--marks", "7"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 32
+    assert main([*argv, "--marks", "8"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: 64 partitions are over the listing bound of 32;")
 
 
 def test_partitions_bad_degree_exits_2():
@@ -696,14 +722,14 @@ def test_a_big_product_past_the_size_bound_exits_2_at_once(
 
 
 @pytest.mark.parametrize("target, order", [
-    ("p1", 10 ** 6), ("p2", 10 ** 6), ("p1xp1", 10 ** 6), ("p3", 10 ** 6),
-    ("p4", 3160),
+    ("p1", 7467), ("p2", 7467), ("p1xp1", 660), ("p3", 6096), ("p4", 659),
 ])
 def test_the_size_bound_leaves_narrow_targets_to_the_product(
         target, order, capsys, monkeypatch):
-    # P^1, P^2 and P1xP1 have no free class, P^3 one: no order is refused.
-    # The stub runs the library's own bound, over every class as phi_ijk
-    # keeps them, and stops before the product itself.
+    # P^1, P^2 and P1xP1 have no free class, P^3 one: only the bits of the
+    # factorial-sized ints bound them, and each order here is the last one
+    # allowed.  The stub runs the library's own bound, over every class as
+    # phi_ijk keeps them, and stops before the product itself.
     from gwcalc import potentials, rings
 
     def bounded(a, b):
@@ -736,3 +762,34 @@ def test_a_narrow_big_product_far_past_the_old_size_bound_answers(
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0d4264d21b7717eb9002c5de9de986befbea6dcb000f353a1b9ee4b9d9deea28")
+
+
+@pytest.mark.parametrize("argv, order, target, prefix", [
+    (["wdvv", "--target", "p2"], 10 ** 6, "P^2", "wdvv"),
+    (["wdvv", "--target", "p2"], 10176, "P^2", "wdvv"),
+    (["wdvv", "--target", "p1xp1"], 661, "P1xP1", "wdvv"),
+    (["potential", "--quantum", "--target", "p2"], 10 ** 6, "P^2",
+     "--quantum"),
+    (["potential", "--quantum", "--target", "p1xp1"], 661, "P1xP1",
+     "--quantum"),
+    (["qmul", "--target", "p2", "--big", "h1", "h2"], 10 ** 6, "P^2",
+     "--big"),
+    (["qmul", "--target", "p1", "--big", "h1", "h1"], 7468, "P^1", "--big"),
+    (["qmul", "--target", "p1xp1", "--big", "T1", "T2"], 10 ** 6, "P1xP1",
+     "--big"),
+])
+def test_a_huge_order_on_a_narrow_target_exits_2_at_once(
+        argv, order, target, prefix, capsys, monkeypatch):
+    # The factorial row alone holds about order^2 log(order) / 2 bits: at
+    # order 10^6 these ran out of memory (exit 3), and just past the bound
+    # they ran out of memory or past a minute.
+    monkeypatch.delenv("GW_CACHE", raising=False)
+    started = time.perf_counter()
+    assert main([*argv, "--order", str(order)]) == 2
+    assert time.perf_counter() - started < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(
+        rf"error: {prefix} at order {order} on {re.escape(target)} is too "
+        r"large: \d+ factorial-sized ints of up to order \* "
+        r"bitlen\(order\) bits are over 1450000000 bits\n", err)

@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -213,9 +214,9 @@ def test_wdvv_residual_vanishes_at_every_quadruple(target, order):
     import itertools
     from gwcalc.potentials import _wdvv_residual
     m = target.basis_size
-    phi = lambda ijk: phi_ijk(target, *ijk, order)
     for quad in itertools.product(range(m), repeat=4):
-        residual = _wdvv_residual(target, phi, *quad)
+        residual = _wdvv_residual(target, order, None, tuple(range(m)),
+                                  *quad)
         assert residual.is_zero(), quad
         assert (residual.nvars, residual.order) == (m, order)
 
@@ -255,21 +256,30 @@ def test_clear_caches_leaves_no_table_behind():
         dict.fromkeys(tables, 0)
 
 
-@pytest.mark.parametrize("target, order", [
-    (ProjectiveSpace(1), 10 ** 6), (ProjectiveSpace(2), 10 ** 6),
-    (P1XP1, 10 ** 6), (ProjectiveSpace(3), 10 ** 6),
-    (ProjectiveSpace(4), 3160),
-])
+@pytest.mark.parametrize("target, order, keep", [
+    (ProjectiveSpace(1), 7467, None), (ProjectiveSpace(2), 7467, None),
+    (ProjectiveSpace(2), 10175, (2,)), (P1XP1, 660, None),
+    (P1XP1, 660, (1, 2, 3)), (ProjectiveSpace(3), 6096, None),
+    (ProjectiveSpace(4), 659, None),
+], ids=["p1", "p2", "p2-reduced", "p1xp1", "p1xp1-reduced", "p3", "p4"])
 def test_the_listing_bound_leaves_narrow_targets_to_the_product(
-        target, order):
-    # P^1, P^2 and P1xP1 have no free class and P^3 one, so no order of
-    # theirs is refused; P^4 (f = 2) lists 9,995,082 ints at order 3160.
-    from gwcalc.potentials import _check_listing
-    _check_listing(target, order, tuple(range(target.basis_size)))
+        target, order, keep):
+    # P^1, P^2 and P1xP1 have no free class and P^3 one, so only the bits of
+    # the factorial-sized ints bound them; each order here is the last one
+    # allowed, and the next one is refused.
+    from gwcalc.potentials import _ListingTooLarge, _check_listing
+    keep = keep or tuple(range(target.basis_size))
+    _check_listing(target, order, keep)
+    with pytest.raises(_ListingTooLarge, match=(
+            rf"^order {order + 1} on {re.escape(str(target))} is too large: "
+            r"\d+ factorial-sized ints of up to order \* bitlen\(order\) "
+            r"bits are over 1450000000 bits$")):
+        _check_listing(target, order + 1, keep)
 
 
 def test_the_listing_bound_refuses_p4_from_order_3161():
-    # 2 * C(3163, 3161) = 10,001,406 ints, one order past the last allowed.
+    # 2 * C(3163, 3161) = 10,001,406 ints, one order past the last allowed
+    # by the free listing, which is checked before the bits.
     from gwcalc.potentials import _ListingTooLarge, _check_listing
     with pytest.raises(_ListingTooLarge, match=(
             r"^order 3161 on P\^4 is too large: with f = 2 free classes, "
