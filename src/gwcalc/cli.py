@@ -323,7 +323,7 @@ def _cmd_potential(args) -> dict:
     order = _order(args.order, 6 if args.quantum else None)
     if args.quantum:
         if isinstance(target, ProjectiveSpace) and target.r == 1:
-            series = gw_potential_p1(order)
+            series = _sized("--quantum", gw_potential_p1, order)
             text = series.render()
         elif isinstance(target, ProjectiveSpace) and target.r == 2:
             family = _sized("--quantum", quantum_potential_p2_reduced, order)

@@ -48,6 +48,8 @@ shares one key space.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import comb
 
@@ -58,6 +60,7 @@ from .targets import (Degree, ExponentVector, InvariantKey, P1xP1,
 
 _MemoKey = tuple[int, int, int, int]  # (r, width, d, packed), see _key
 _PR_CACHE: dict[_MemoKey, int] = {}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def clear_caches() -> None:
@@ -206,10 +209,20 @@ def _key(r: int, d: int, exps: ExponentVector) -> _MemoKey:
 
 
 def _exponents(key: _MemoKey) -> ExponentVector:
-    """The exponent tuple of a memo key, undoing ``_key``."""
+    """The exponent tuple of a memo key, undoing ``_key``, in time linear
+    in the key's bits: the packed int becomes bytes once, and each digit
+    is read from its own few bytes."""
     r, width, _, packed = key
+    data = packed.to_bytes((width * (r + 1) + 7) >> 3, "little")
+    if width == 16:  # every query under 65,536 marks
+        digits = array("H", data)
+        if _BIG_ENDIAN:
+            digits.byteswap()
+        return tuple(digits)
     mask = (1 << width) - 1
-    return tuple(packed >> (width * k) & mask for k in range(r + 1))
+    return tuple(int.from_bytes(data[bit >> 3:(bit + width + 7) >> 3],
+                                "little") >> (bit & 7) & mask
+                 for bit in range(0, width * (r + 1), width))
 
 
 def _reconstructed(key: _MemoKey) -> int:

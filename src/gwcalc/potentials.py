@@ -24,11 +24,13 @@ take another count source, so that perturbed tables can be shown to fail.
 By the divisor axiom the divisor variables enter a structure constant only
 through exp(<beta, x>), the q = e^t substitution (Kontsevich-Manin 1994,
 section 2).  So the builder makes graded terms, one int numerator per
-(pairing of beta, tail over the other kept classes), and one expansion
-turns them into a series.  The residual multiplies graded terms, where
-exp(<beta, x>) exp(<beta', x>) = exp(<beta + beta', x>) makes their keys
-add, and expands only the entries that do not cancel: a vanishing residual
-expands nothing.
+(pairing of beta, tail t over the other kept classes), over |t|!, the
+factorial of the tail's own degree as in an EGF coefficient, and one
+expansion turns them into a series.  The residual multiplies graded terms,
+where exp(<beta, x>) exp(<beta', x>) = exp(<beta + beta', x>) makes their
+keys add and a binomial keeps the product over the factorial of its
+degree, so its ints stay the size of the coefficients; it expands only the
+entries that do not cancel: a vanishing residual expands nothing.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ NdSource = Callable[[int], int]
 NdeSource = Callable[[int, int], int]
 Count = Callable[[Degree, ExponentVector], int]
 
-_P2 = ProjectiveSpace(2)
+_P1, _P2 = ProjectiveSpace(1), ProjectiveSpace(2)
 
 
 def _exponent_vectors(nvars: int, max_total: int):
@@ -101,15 +103,21 @@ def gw_potential_p1(order: int) -> TruncatedSeries:
     """Full potential of P^1 in x0, x1: x0^2 x1 / 2 + exp(x1), truncated.
 
     A closed form, independent of the invariant engine: the coefficient of
-    x^a / a! is ``collected_invariant(ProjectiveSpace(1), a)``."""
+    x^a / a! is ``collected_invariant(ProjectiveSpace(1), a)``.  Raises
+    ``_ListingTooLarge`` past the size bound of P^1's tables."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    terms: dict[tuple[int, int], Fraction] = {}
+    _check_listing(_P1, order, (0, 1))
+    x0, x1 = _variable_keys(2, order)
+    nums: dict[int, int] = {}
+    scale = 1  # order! / n!, by a running product from n = order down
+    for n in range(order, 0, -1):
+        nums[n * x1] = scale
+        scale *= n
+    nums[0] = scale  # order!, the one denominator
     if order >= 3:
-        terms[(2, 1)] = Fraction(1, 2)
-    for n in range(order + 1):
-        terms[(0, n)] = Fraction(1, factorial(n))
-    return TruncatedSeries(2, order, terms)
+        nums[2 * x0 + x1] = scale // 2
+    return TruncatedSeries._trusted(2, order, scale, nums)
 
 
 # An expansion lists every exponent vector of total <= order over its f free
@@ -122,12 +130,14 @@ _MAX_LISTING = 10 ** 7
 
 # It also lists big ints of up to log2(order!) <= order * bitlen(order)
 # bits: the factorials 0!..order!, one H / u! per head (C(d + order, d)
-# heads over d kept divisors) and one T / t! per free vector.  Past this
-# many bits by that count a table is refused too.  On a 2-vCPU host under a
-# 2 GB address-space limit, qmul --big on P^1 answered in 58 s at order
-# 7000 (1.27e9) and ran past 60 s at 7468, the first order refused, and at
-# 7500; it is the widest table of any narrow target that answers in a
-# minute.
+# heads over d kept divisors), one |f|! / f! per free vector, the rows of
+# exp(<beta, x>) and the output series.  Past this many bits by that count
+# a table is refused too.  On a 2-vCPU host under a 2 GB address-space
+# limit, qmul --big on P^1 answered in 58 s at order 7000 and ran past 60 s
+# at 7500, with the factorials, heads and free vectors counted (1.27e9 at
+# 7000); with the rows and output counted too, the last orders allowed
+# answered on P1xP1 (106) in 11 s and 505 MB, on P^2 (599) in 23 s and on
+# P^3 (179) in 46 s and 925 MB, and P1xP1 ran out of memory at order 160.
 _MAX_TABLE_BITS = 145 * 10 ** 7
 
 
@@ -136,20 +146,65 @@ class _ListingTooLarge(ValueError):
     big ints are past ``_MAX_TABLE_BITS`` bits."""
 
 
+def _weights(target: TargetSpace) -> list[int]:
+    """The gate weight codim - 1 of each basis class."""
+    return [sum(word) - 1 for word in target.words]
+
+
+def _most_total(target: TargetSpace, order: int, top: int,
+                weight: list[int]) -> int:
+    """The largest total degree of a curve class whose terms reach
+    ``order`` when the last placed class has weight ``top``: a pairing is
+    at most the total degree, and ``_terms`` stops past the total whose
+    gap exceeds top * order at the largest offset, that of three classes
+    of the largest weight."""
+    return max((top * order + 3 * max(weight) - _vdim(target, 0, 0))
+               // target.index, 0)
+
+
 def _check_listing(target: TargetSpace, order: int,
                    keep: tuple[int, ...]) -> None:
     """Raise ``_ListingTooLarge`` when the expansion of (target, order,
     keep) would list more than ``_MAX_LISTING`` ints of free vectors, or
-    more than ``_MAX_TABLE_BITS`` bits of factorial-sized ints."""
-    f = max(sum(target.codim(c) >= 2 for c in keep) - 1, 0)
+    more than ``_MAX_TABLE_BITS`` bits of factorial-sized ints.
+
+    Those ints are the factorials, the heads and free vectors, one row per
+    pairing of a curve class (its heads up to the order less the lowest
+    tail degree of that total) and one output series (a term per monomial
+    over the divisors and placed classes)."""
+    weight = _weights(target)
+    placed = [weight[c] for c in keep if weight[c] > 0]
+    p = len(placed)
+    f = max(p - 1, 0)
     k = min(order, _MAX_LISTING)  # any f >= 1 is over by then
     if f * comb(f + k, k) > _MAX_LISTING:
         raise _ListingTooLarge(
             f"order {order} on {target} is too large: with f = {f} free "
             f"classes, f * C(f + order, order) is over {_MAX_LISTING}")
-    d = sum(target.codim(c) == 1 for c in keep)
-    big = order + 1 + comb(d + order, d) + comb(f + order, f)
-    if big * order * order.bit_length() > _MAX_TABLE_BITS:
+    d = sum(weight[c] == 0 for c in keep)
+    bits = order * order.bit_length()
+    big = (order + 1 + comb(d + order, d) + comb(f + order, f)
+           + comb(d + p + order, d + p))
+    if not d:
+        big += 1  # one row, of the empty head
+    else:
+        # At most C(d + most, d) rows of C(d + order, d) heads; only near
+        # the bound are they counted by total s: C(d - 1 + s, d - 1)
+        # pairings, each of at most C(d + order - least, d) heads, where
+        # the gate leaves a tail of degree >= least.
+        top = placed[-1] if placed else 0
+        most = _most_total(target, order, top, weight)
+        if (big + comb(d + most, d) * comb(d + order, d)) * bits \
+                > _MAX_TABLE_BITS:
+            heaviest = 3 * max(weight)
+            for total in range(1, most + 1):
+                gap = _vdim(target, total, 0) - heaviest
+                least = max(-(-gap // top), 0) if top else 0  # ceil
+                if least > order or big * bits > _MAX_TABLE_BITS:
+                    break
+                big += comb(d - 1 + total, d - 1) * comb(
+                    d + order - least, d)
+    if big * bits > _MAX_TABLE_BITS:
         raise _ListingTooLarge(
             f"order {order} on {target} is too large: {big} factorial-sized "
             f"ints of up to order * bitlen(order) bits are over "
@@ -166,48 +221,54 @@ class _Expansion:
     > 0); the gate solves the exponent of the last placed class from those
     of the ones before it (the free classes).  A kept exponent vector is a
     head u over the divisors plus a tail t over the placed classes, and
-    x^a / a! = x^u x^t (H / u!) (T / t!) / (H T), where H is order! if a
-    divisor is kept (else 1) and T likewise for the placed classes.  Keys
-    are the packed series keys (radix order + 1, below ``bound``), built as
-    sums of the variables' keys:
+    x^a / a! = x^u (H / u!) / H * x^t (|t|! / t!) / |t|!, where H is
+    order! if a divisor is kept (else 1).  ``_expand`` brings every tail to
+    one denominator T, order! if a class is placed (else 1).  Keys are the
+    packed series keys (radix order + 1, below ``bound``, the degree digit
+    at ``place``), built as sums of the variables' keys:
 
     * ``heads``: the key of every head of degree <= order in rising
       degree, ``sizes[d]`` the number of heads of degree <= d,
       ``head_scale`` their H / u!, and ``columns`` their exponents, one
       column per divisor;
-    * ``free``: (free exponents, gate weight, key, T / f!) per free vector,
-      and ``top_key`` the key of the last placed class;
-    * ``pair_units``: per divisor, the unit that packs its pairing into a
-      graded key above ``bound``, in digits of radix ``pair_radix``, wide
-      enough for the sum of two pairings of any curve class the order
-      reaches;
+    * ``free``: (free exponents, gate weight, key, degree |f|, |f|! / f!)
+      per free vector, and ``top_key`` the key of the last placed class;
+    * ``tail_scale``: T / n! for each tail degree n, by a running product
+      (``[1]`` when no class is placed, so every tail is empty);
+    * ``unit_at``: per pairing index, the unit that packs the pairing of
+      a kept divisor into a graded key above ``bound``, in digits of radix
+      ``pair_radix``, wide enough for the sum of two pairings of any curve
+      class the order reaches (0 for a divisor not kept);
+    * ``classes``: per total degree, (beta, pairing, packed pairing) of
+      each curve class, listed up to the largest total asked for so far
+      (``curve_classes``);
     * ``rows``: per packed pairing tuple, the nonzero terms (head key,
       <beta, x>^u / u! times H) of exp(<beta, x>) up to the longest
       degree asked for so far, with their count of heads;
     * ``invariant_terms``: per index exponent vector, the ``_terms`` of
       the invariants themselves, for the next structure constant or
-      residual that asks.
+      residual that asks, and ``invariant_lists`` the same with I_0 at
+      key 0, as ``_wdvv_residual`` multiplies them.
     """
 
     __slots__ = ("nvars", "order", "weight", "placed", "top", "bound",
-                 "head_den", "tail_den", "facts", "divisors", "heads",
-                 "sizes", "head_scale", "columns", "free", "top_key",
-                 "pair_radix", "pair_units", "rows", "invariant_terms")
+                 "place", "head_den", "heads", "sizes", "head_scale",
+                 "columns", "free", "top_key", "tail_scale", "pair_radix",
+                 "unit_at", "classes", "rows", "invariant_terms",
+                 "invariant_lists")
 
     def __init__(self, target: TargetSpace, order: int,
                  keep: tuple[int, ...]):
         _check_listing(target, order, keep)
         self.nvars, self.order = len(keep), order
-        self.weight = weight = [target.codim(c) - 1
-                                for c in range(target.basis_size)]
-        self.divisors = divisors = [c for c in keep if weight[c] == 0]
+        self.weight = weight = _weights(target)
+        divisors = [c for c in keep if weight[c] == 0]
         self.placed = placed = [c for c in keep if weight[c] > 0]
         self.top = top = weight[placed[-1]] if placed else 0
         self.bound = bound = (order + 1) ** (len(keep) + 1)
-        self.facts = facts = list(accumulate(range(1, order + 1), mul,
-                                             initial=1))
+        self.place = bound // (order + 1)
+        facts = list(accumulate(range(1, order + 1), mul, initial=1))
         self.head_den = head_den = facts[order] if divisors else 1
-        self.tail_den = tail_den = facts[order] if placed else 1
         unit = dict(zip(keep, _variable_keys(len(keep), order)))
         # Heads in rising degree, which is all the product loop's break
         # needs: a head fits beside a tail exactly when its degree does.
@@ -216,25 +277,41 @@ class _Expansion:
         self.sizes = [bisect_right(degrees, d) for d in range(order + 1)]
         self.columns = columns = list(zip(*heads))
         self.heads = _dot(columns, [unit[c] for c in divisors], len(heads))
-        self.head_scale = _scaled(head_den, columns, facts, len(heads))
+        self.head_scale = _scaled([head_den] * len(heads), columns, facts)
         free = placed[:-1]
         vectors = list(_exponent_vectors(len(free), order))
         by_class = list(zip(*vectors))
+        f_degrees = list(map(sum, vectors))
         self.free = list(zip(
             vectors, _dot(by_class, [weight[c] for c in free], len(vectors)),
-            _dot(by_class, [unit[c] for c in free], len(vectors)),
-            _scaled(tail_den, by_class, facts, len(vectors))))
+            _dot(by_class, [unit[c] for c in free], len(vectors)), f_degrees,
+            _scaled([facts[n] for n in f_degrees], by_class, facts)))
         self.top_key = unit[placed[-1]] if placed else 0
-        # A pairing is at most the total degree, and ``_terms`` stops past
-        # the total whose gap exceeds top * order at the largest offset,
-        # that of three classes of the largest weight; a product adds two
-        # pairings digit by digit.
-        most = max((top * order + 3 * max(weight) - _vdim(target, 0, 0))
-                   // target.index, 0)
+        # T / n! from n = order down to 0, then in rising n.
+        self.tail_scale = list(accumulate(range(order, 0, -1), mul,
+                                          initial=1))[::-1] if placed else [1]
+        # A product adds two pairings digit by digit.
+        most = _most_total(target, order, top, weight)
         self.pair_radix = radix = 2 * most + 1
-        self.pair_units = [radix ** i * bound for i in range(len(divisors))]
+        self.unit_at = unit_at = [0] * len(weight)  # divisor c at c - 1
+        for i, c in enumerate(divisors):
+            unit_at[c - 1] = radix ** i * bound
+        self.classes: list[list[tuple[Degree, tuple[int, ...], int]]] = [[]]
         self.rows: dict[int, list[tuple[int, int]]] = {}
         self.invariant_terms: dict[ExponentVector, dict[int, int]] = {}
+        self.invariant_lists: dict[ExponentVector,
+                                   list[tuple[int, int, int]]] = {}
+
+    def curve_classes(self, target: TargetSpace, total: int
+                      ) -> list[tuple[Degree, tuple[int, ...], int]]:
+        """(beta, pairing, packed pairing) of each curve class of one total
+        degree, listed on first use."""
+        classes, unit_at = self.classes, self.unit_at
+        while len(classes) <= total:
+            classes.append([(beta, pairing, sum(map(mul, pairing, unit_at)))
+                            for beta in target.degrees(len(classes))
+                            for pairing in (target.pairings(beta),)])
+        return classes[total]
 
     def row(self, pairing: int, degree: int) -> list[tuple[int, int]]:
         """The terms of exp(<beta, x>) up to at least ``degree`` for one
@@ -275,10 +352,10 @@ def _dot(columns: list[tuple[int, ...]], coefs: list[int],
     return out
 
 
-def _scaled(den: int, columns: list[tuple[int, ...]], facts: list[int],
-            size: int) -> list[int]:
-    """den / prod_c columns[c]!, entry by entry (each division is exact)."""
-    out = [den] * size
+def _scaled(dens: list[int], columns: list[tuple[int, ...]],
+            facts: list[int]) -> list[int]:
+    """dens / prod_c columns[c]!, entry by entry (each division is exact)."""
+    out = dens
     for column in columns:
         out = [x // facts[a] for x, a in zip(out, column)]
     return out
@@ -287,15 +364,17 @@ def _scaled(den: int, columns: list[tuple[int, ...]], facts: list[int],
 def _terms(table: _Expansion, target: TargetSpace, idx_exps: ExponentVector,
            count: Count | None) -> dict[int, int]:
     """The graded terms of the curve-class part along the index classes
-    ``idx_exps`` (no fundamental class among them): numerators over the
-    table's tail denominator T, one per (pairing, tail) key.  ``count``
+    ``idx_exps`` (no fundamental class among them): one int numerator per
+    (pairing, tail) key, over the factorial of the tail's degree.  ``count``
     gives I_beta for stripped exponents; None stands for the invariants
     themselves, whose terms the table keeps, so the caller must not change
     the dict returned.
 
     The term num at key pairing * bound + key(t) stands for
-    num / T * x^t * exp(<beta, x>) over the kept divisors, and its sum over
-    beta != 0 and the tails is the quantum part.  Per beta the strip takes
+    num / |t|! * x^t * exp(<beta, x>) over the kept divisors, and its sum
+    over beta != 0 and the tails is the quantum part: I_beta * mult /
+    t! = I_beta * mult * (|f|! / f!) * C(|t|, last) / |t|! for the free
+    part f and the last placed exponent of t.  Per beta the strip takes
     the divisor factors of the index classes into the count, and the gate
     solves the exponent of the last placed class from those of the free
     classes.  The keys add under products: the tails as series keys, the
@@ -308,7 +387,7 @@ def _terms(table: _Expansion, target: TargetSpace, idx_exps: ExponentVector,
         return terms
     placed, top, bound, order = (table.placed, table.top, table.bound,
                                  table.order)
-    top_key, facts = table.top_key, table.facts
+    top_key = table.top_key
     offset = sum(w * a for w, a in zip(table.weight, idx_exps))
     terms: dict[int, int] = {}
     get = terms.get
@@ -318,14 +397,11 @@ def _terms(table: _Expansion, target: TargetSpace, idx_exps: ExponentVector,
         gap = _vdim(target, total, 0) - offset
         if gap > top * order:
             break
-        for beta in target.degrees(total):
-            pairing = target.pairings(beta)
+        for beta, pairing, high in table.curve_classes(target, total):
             mult, base = _strip(idx_exps, pairing)
             if not mult:
                 continue
-            high = sum(pairing[c - 1] * unit
-                       for c, unit in zip(table.divisors, table.pair_units))
-            for f, f_weight, f_key, f_scale in table.free:
+            for f, f_weight, f_key, f_degree, f_scale in table.free:
                 rest = gap - f_weight
                 if rest < 0 or (rest % top if top else rest):
                     continue
@@ -339,18 +415,18 @@ def _terms(table: _Expansion, target: TargetSpace, idx_exps: ExponentVector,
                 value = count(beta, tuple(exps))
                 if value:
                     key = high + tail_key
-                    terms[key] = get(key, 0) + value * mult * (
-                        f_scale // facts[last])
+                    terms[key] = get(key, 0) + value * mult * f_scale * comb(
+                        f_degree + last, last)
     return terms
 
 
-def _expand(table: _Expansion, terms: dict[int, int],
-            den: int) -> TruncatedSeries:
-    """The series of graded terms over ``den``: each num / den * x^t *
-    exp(<beta, x>), expanded through the table's row of its pairing, up to
-    the table's order, over the one denominator den * H."""
-    bound, order = table.bound, table.order
-    place = bound // (order + 1)  # the degree digit of a series key
+def _expand(table: _Expansion, terms: dict[int, int]) -> TruncatedSeries:
+    """The series of graded terms: each num / |t|! * x^t * exp(<beta, x>),
+    brought to the tail denominator T = ``tail_scale[0]`` by the table's
+    T / |t|!, expanded through the table's row of its pairing up to the
+    table's order, over the one denominator T * H."""
+    bound, order, place = table.bound, table.order, table.place
+    tail_scale = table.tail_scale
     acc: dict[int, int] = {}
     get = acc.get
     row: list[tuple[int, int]] = []
@@ -359,17 +435,20 @@ def _expand(table: _Expansion, terms: dict[int, int],
     # row asked for first is the longest one the pairing needs.
     for key, num in sorted(terms.items()):
         high, tail = divmod(key, bound)
+        degree = tail // place
         if high != pairing:
             pairing = high
-            row = table.row(high, order - tail // place)
+            row = table.row(high, order - degree)
+        num *= tail_scale[degree]
         limit = bound - tail
         for head_key, scale in row:
             if head_key >= limit:
                 break
             key = head_key + tail
             acc[key] = get(key, 0) + num * scale
-    return TruncatedSeries._trusted(table.nvars, order, den * table.head_den,
-                                    {k: n for k, n in acc.items() if n})
+    return TruncatedSeries._trusted(
+        table.nvars, order, tail_scale[0] * table.head_den,
+        {k: n for k, n in acc.items() if n})
 
 
 def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
@@ -393,8 +472,7 @@ def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
     if idx_exps[0]:  # the fundamental class kills every curve class
         return TruncatedSeries.zero(len(keep), order)
     table = _expansion(target, order, keep)
-    return _expand(table, _terms(table, target, idx_exps, count),
-                   table.tail_den)
+    return _expand(table, _terms(table, target, idx_exps, count))
 
 
 def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
@@ -404,23 +482,30 @@ def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
     kept classes, with the counts and kept classes of ``_quantum_part``.
 
     The products run on graded terms, before any expansion: each Phi is
-    its ``_terms`` plus I_0(ijk) * T at key 0, once per index triple, and
+    its ``_terms`` plus I_0(ijk) at key 0, once per index triple, and
     exp(<beta, x>) exp(<beta', x>) = exp(<beta + beta', x>), so the keys
-    of two terms add.  All 2m products go into one accumulator over T^2,
-    and only the entries that do not cancel are expanded; a vanishing
-    residual expands nothing."""
+    of two terms add.  Two numerators over |a|! and |b|! make one over
+    (|a| + |b|)! times C(|a| + |b|, |a|), so all 2m products go into one
+    accumulator in the normalization of ``_terms``; a square visits each
+    unordered pair once.  Only the entries that do not cancel are
+    expanded; a vanishing residual expands nothing."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     m = target.basis_size
     table = _expansion(target, order, keep)
-    bound, tail_den = table.bound, table.tail_den
+    bound, place = table.bound, table.place
 
-    @functools.cache
+    listed = table.invariant_lists if count is None else {}
+
     def terms(exps: ExponentVector) -> list[tuple[int, int, int]]:
-        graded = {} if exps[0] else _terms(table, target, exps, count)
-        if constant := _degree_zero(target, exps):
-            graded = {**graded, 0: graded.get(0, 0) + constant * tail_den}
-        return sorted((key % bound, key, num) for key, num in graded.items())
+        found = listed.get(exps)
+        if found is None:
+            graded = {} if exps[0] else _terms(table, target, exps, count)
+            if constant := _degree_zero(target, exps):
+                graded = {**graded, 0: graded.get(0, 0) + constant}
+            found = listed[exps] = sorted((key % bound // place, key, num)
+                                          for key, num in graded.items())
+        return found
 
     g = lambda *ijk: terms(exponents_from_classes(target, ijk))
     acc: dict[int, int] = {}
@@ -428,16 +513,30 @@ def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
     for e in range(m):
         for sign, left, right in ((1, g(i, j, e), g(m - 1 - e, k, l)),
                                   (-1, g(j, k, e), g(i, m - 1 - e, l))):
-            for tail_a, key_a, num_a in left:
-                num_a *= sign
-                limit = bound - tail_a
-                for tail_b, key_b, num_b in right:
-                    if tail_b >= limit:
+            square = left is right
+            for at, (deg_a, key_a, num_a) in enumerate(left):
+                room = order - deg_a  # the degrees that fit beside a's tail
+                if square:  # the diagonal once, then each pair b > a twice
+                    if deg_a > room:
                         break
+                    key = key_a + key_a
+                    acc[key] = get(key, 0) + sign * num_a * num_a * comb(
+                        deg_a + deg_a, deg_a)
+                    num_a *= 2
+                num_a *= sign
+                # The terms come in rising tail degree: one binomial and
+                # one fit test per degree.
+                last = -1
+                for deg_b, key_b, num_b in (right[at + 1:] if square
+                                            else right):
+                    if deg_b != last:
+                        if deg_b > room:
+                            break
+                        last = deg_b
+                        scaled = num_a * comb(deg_a + deg_b, deg_a)
                     key = key_a + key_b
-                    acc[key] = get(key, 0) + num_a * num_b
-    return _expand(table, {key: n for key, n in acc.items() if n},
-                   tail_den * tail_den)
+                    acc[key] = get(key, 0) + scaled * num_b
+    return _expand(table, {key: n for key, n in acc.items() if n})
 
 
 def gamma_p2_reduced(i: int, j: int, k: int, order: int,

@@ -722,7 +722,7 @@ def test_a_big_product_past_the_size_bound_exits_2_at_once(
 
 
 @pytest.mark.parametrize("target, order", [
-    ("p1", 7467), ("p2", 7467), ("p1xp1", 660), ("p3", 6096), ("p4", 659),
+    ("p1", 5279), ("p2", 599), ("p1xp1", 106), ("p3", 179), ("p4", 84),
 ])
 def test_the_size_bound_leaves_narrow_targets_to_the_product(
         target, order, capsys, monkeypatch):
@@ -777,12 +777,22 @@ def test_a_narrow_big_product_far_past_the_old_size_bound_answers(
     (["qmul", "--target", "p1", "--big", "h1", "h1"], 7468, "P^1", "--big"),
     (["qmul", "--target", "p1xp1", "--big", "T1", "T2"], 10 ** 6, "P1xP1",
      "--big"),
+    (["potential", "--quantum", "--target", "p1"], 20000, "P^1",
+     "--quantum"),
+    (["potential", "--quantum", "--target", "p1"], 10 ** 6, "P^1",
+     "--quantum"),
+    (["potential", "--quantum", "--target", "p1xp1"], 192, "P1xP1",
+     "--quantum"),
+    (["qmul", "--target", "p1xp1", "--big", "T1", "T2"], 192, "P1xP1",
+     "--big"),
 ])
 def test_a_huge_order_on_a_narrow_target_exits_2_at_once(
         argv, order, target, prefix, capsys, monkeypatch):
     # The factorial row alone holds about order^2 log(order) / 2 bits: at
     # order 10^6 these ran out of memory (exit 3), and just past the bound
-    # they ran out of memory or past a minute.
+    # they ran out of memory or past a minute.  P^1's closed form ran past
+    # a minute from order 20,000, and on P1xP1 the rows of exp(<beta, x>)
+    # and the output ran out of 2 GB at order 192 (exit 3).
     monkeypatch.delenv("GW_CACHE", raising=False)
     started = time.perf_counter()
     assert main([*argv, "--order", str(order)]) == 2

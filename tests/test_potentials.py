@@ -257,10 +257,10 @@ def test_clear_caches_leaves_no_table_behind():
 
 
 @pytest.mark.parametrize("target, order, keep", [
-    (ProjectiveSpace(1), 7467, None), (ProjectiveSpace(2), 7467, None),
-    (ProjectiveSpace(2), 10175, (2,)), (P1XP1, 660, None),
-    (P1XP1, 660, (1, 2, 3)), (ProjectiveSpace(3), 6096, None),
-    (ProjectiveSpace(4), 659, None),
+    (ProjectiveSpace(1), 5279, None), (ProjectiveSpace(2), 599, None),
+    (ProjectiveSpace(2), 7466, (2,)), (P1XP1, 106, None),
+    (P1XP1, 106, (1, 2, 3)), (ProjectiveSpace(3), 179, None),
+    (ProjectiveSpace(4), 84, None),
 ], ids=["p1", "p2", "p2-reduced", "p1xp1", "p1xp1-reduced", "p3", "p4"])
 def test_the_listing_bound_leaves_narrow_targets_to_the_product(
         target, order, keep):
