@@ -6,9 +6,10 @@ The potential of a target is the exponential generating function
 
 over exponent vectors a, where I is the collected invariant.  It splits
 into the classical part (degree-zero invariants, a cubic polynomial) and
-the quantum part carrying the curve counts.  One builder makes the quantum
-part of every structure constant Phi_ijk (third partial derivative), and
-the WDVV equation, the associativity of the quantum product, is one residual
+the quantum part carrying the curve counts.  One builder lists every
+structure constant Phi_ijk (third partial derivative), I_0 included, for
+each series of them to expand, and the WDVV equation, the associativity
+of the quantum product, is one residual
 
     sum_e Phi_ije Phi_(m-1-e)kl - Phi_jke Phi_i(m-1-e)l       (basis size m)
 
@@ -23,11 +24,12 @@ take another count source, so that perturbed tables can be shown to fail.
 
 By the divisor axiom the divisor variables enter a structure constant only
 through exp(<beta, x>), the q = e^t substitution (Kontsevich-Manin 1994,
-section 2).  So the builder makes graded terms, one int numerator per
+section 2).  So the builder lists graded terms, one int numerator per
 (pairing of beta, tail t over the other kept classes), over |t|!, the
-factorial of the tail's own degree as in an EGF coefficient, and one
-expansion turns them into a series.  The residual multiplies graded terms,
-where exp(<beta, x>) exp(<beta', x>) = exp(<beta + beta', x>) makes their
+factorial of the tail's own degree as in an EGF coefficient, I_0 at key 0,
+and one expansion turns them into a series; a table keeps the invariants'
+lists.  The residual multiplies the same lists, where
+exp(<beta, x>) exp(<beta', x>) = exp(<beta + beta', x>) makes their
 keys add and a binomial keeps the product over the factorial of its
 degree, so its ints stay the size of the coefficients; it expands only the
 entries that do not cancel: a vanishing residual expands nothing.
@@ -35,9 +37,9 @@ entries that do not cancel: a vanishing residual expands nothing.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import comb, prod
 from operator import mul
@@ -146,42 +148,37 @@ class _ListingTooLarge(ValueError):
     big ints are past ``_MAX_TABLE_BITS`` bits."""
 
 
-def _weights(target: TargetSpace) -> list[int]:
-    """The gate weight codim - 1 of each basis class."""
-    return [sum(word) - 1 for word in target.words]
-
-
-def _most_total(target: TargetSpace, order: int, top: int,
-                weight: list[int]) -> int:
-    """The largest total degree of a curve class whose terms reach
-    ``order`` when the last placed class has weight ``top``: a pairing is
-    at most the total degree, and ``_terms`` stops past the total whose
-    gap exceeds top * order at the largest offset, that of three classes
-    of the largest weight."""
-    return max((top * order + 3 * max(weight) - _vdim(target, 0, 0))
-               // target.index, 0)
-
-
-def _check_listing(target: TargetSpace, order: int,
-                   keep: tuple[int, ...]) -> None:
+def _check_listing(target: TargetSpace, order: int, keep: tuple[int, ...]
+                   ) -> tuple[list[int], list[int], list[int], int, int]:
     """Raise ``_ListingTooLarge`` when the expansion of (target, order,
     keep) would list more than ``_MAX_LISTING`` ints of free vectors, or
-    more than ``_MAX_TABLE_BITS`` bits of factorial-sized ints.
+    more than ``_MAX_TABLE_BITS`` bits of factorial-sized ints; else give
+    the shape so bounded, which the table takes as is: the gate weight
+    codim - 1 of each basis class, the kept divisors (weight 0) and placed
+    classes (weight > 0), the weight ``top`` of the last placed class and
+    ``most``, the largest total degree of a curve class whose terms reach
+    ``order``.
 
     Those ints are the factorials, the heads and free vectors, one row per
     pairing of a curve class (its heads up to the order less the lowest
     tail degree of that total) and one output series (a term per monomial
     over the divisors and placed classes)."""
-    weight = _weights(target)
-    placed = [weight[c] for c in keep if weight[c] > 0]
-    p = len(placed)
+    weight = [sum(word) - 1 for word in target.words]
+    divisors = [c for c in keep if weight[c] == 0]
+    placed = [c for c in keep if weight[c] > 0]
+    top = weight[placed[-1]] if placed else 0
+    # A pairing is at most the total degree; _terms stops past the total
+    # whose gap passes top * order at three classes of the largest weight.
+    heaviest = 3 * max(weight)
+    most = max((top * order + heaviest - _vdim(target, 0, 0))
+               // target.index, 0)
+    d, p = len(divisors), len(placed)
     f = max(p - 1, 0)
     k = min(order, _MAX_LISTING)  # any f >= 1 is over by then
     if f * comb(f + k, k) > _MAX_LISTING:
         raise _ListingTooLarge(
             f"order {order} on {target} is too large: with f = {f} free "
             f"classes, f * C(f + order, order) is over {_MAX_LISTING}")
-    d = sum(weight[c] == 0 for c in keep)
     bits = order * order.bit_length()
     big = (order + 1 + comb(d + order, d) + comb(f + order, f)
            + comb(d + p + order, d + p))
@@ -192,11 +189,8 @@ def _check_listing(target: TargetSpace, order: int,
         # the bound are they counted by total s: C(d - 1 + s, d - 1)
         # pairings, each of at most C(d + order - least, d) heads, where
         # the gate leaves a tail of degree >= least.
-        top = placed[-1] if placed else 0
-        most = _most_total(target, order, top, weight)
         if (big + comb(d + most, d) * comb(d + order, d)) * bits \
                 > _MAX_TABLE_BITS:
-            heaviest = 3 * max(weight)
             for total in range(1, most + 1):
                 gap = _vdim(target, total, 0) - heaviest
                 least = max(-(-gap // top), 0) if top else 0  # ceil
@@ -209,6 +203,7 @@ def _check_listing(target: TargetSpace, order: int,
             f"order {order} on {target} is too large: {big} factorial-sized "
             f"ints of up to order * bitlen(order) bits are over "
             f"{_MAX_TABLE_BITS} bits")
+    return weight, divisors, placed, top, most
 
 
 class _Expansion:
@@ -245,26 +240,22 @@ class _Expansion:
     * ``rows``: per packed pairing tuple, the nonzero terms (head key,
       <beta, x>^u / u! times H) of exp(<beta, x>) up to the longest
       degree asked for so far, with their count of heads;
-    * ``invariant_terms``: per index exponent vector, the ``_terms`` of
-      the invariants themselves, for the next structure constant or
-      residual that asks, and ``invariant_lists`` the same with I_0 at
-      key 0, as ``_wdvv_residual`` multiplies them.
+    * ``invariant_lists``: per index exponent vector, the ``_listed``
+      structure constant of the invariants themselves, for the next
+      structure constant, residual or big product that asks.
     """
 
     __slots__ = ("nvars", "order", "weight", "placed", "top", "bound",
                  "place", "head_den", "heads", "sizes", "head_scale",
                  "columns", "free", "top_key", "tail_scale", "pair_radix",
-                 "unit_at", "classes", "rows", "invariant_terms",
-                 "invariant_lists")
+                 "unit_at", "classes", "rows", "invariant_lists")
 
     def __init__(self, target: TargetSpace, order: int,
                  keep: tuple[int, ...]):
-        _check_listing(target, order, keep)
+        weight, divisors, placed, top, most = _check_listing(
+            target, order, keep)
         self.nvars, self.order = len(keep), order
-        self.weight = weight = _weights(target)
-        divisors = [c for c in keep if weight[c] == 0]
-        self.placed = placed = [c for c in keep if weight[c] > 0]
-        self.top = top = weight[placed[-1]] if placed else 0
+        self.weight, self.placed, self.top = weight, placed, top
         self.bound = bound = (order + 1) ** (len(keep) + 1)
         self.place = bound // (order + 1)
         facts = list(accumulate(range(1, order + 1), mul, initial=1))
@@ -291,14 +282,12 @@ class _Expansion:
         self.tail_scale = list(accumulate(range(order, 0, -1), mul,
                                           initial=1))[::-1] if placed else [1]
         # A product adds two pairings digit by digit.
-        most = _most_total(target, order, top, weight)
         self.pair_radix = radix = 2 * most + 1
         self.unit_at = unit_at = [0] * len(weight)  # divisor c at c - 1
         for i, c in enumerate(divisors):
             unit_at[c - 1] = radix ** i * bound
         self.classes: list[list[tuple[Degree, tuple[int, ...], int]]] = [[]]
         self.rows: dict[int, list[tuple[int, int]]] = {}
-        self.invariant_terms: dict[ExponentVector, dict[int, int]] = {}
         self.invariant_lists: dict[ExponentVector,
                                    list[tuple[int, int, int]]] = {}
 
@@ -362,13 +351,11 @@ def _scaled(dens: list[int], columns: list[tuple[int, ...]],
 
 
 def _terms(table: _Expansion, target: TargetSpace, idx_exps: ExponentVector,
-           count: Count | None) -> dict[int, int]:
+           count: Count) -> dict[int, int]:
     """The graded terms of the curve-class part along the index classes
     ``idx_exps`` (no fundamental class among them): one int numerator per
     (pairing, tail) key, over the factorial of the tail's degree.  ``count``
-    gives I_beta for stripped exponents; None stands for the invariants
-    themselves, whose terms the table keeps, so the caller must not change
-    the dict returned.
+    gives I_beta for stripped exponents.
 
     The term num at key pairing * bound + key(t) stands for
     num / |t|! * x^t * exp(<beta, x>) over the kept divisors, and its sum
@@ -379,12 +366,6 @@ def _terms(table: _Expansion, target: TargetSpace, idx_exps: ExponentVector,
     solves the exponent of the last placed class from those of the free
     classes.  The keys add under products: the tails as series keys, the
     pairings digit by digit."""
-    if count is None:
-        terms = table.invariant_terms.get(idx_exps)
-        if terms is None:
-            terms = table.invariant_terms[idx_exps] = _terms(
-                table, target, idx_exps, functools.partial(_invariant, target))
-        return terms
     placed, top, bound, order = (table.placed, table.top, table.bound,
                                  table.order)
     top_key = table.top_key
@@ -451,40 +432,56 @@ def _expand(table: _Expansion, terms: dict[int, int]) -> TruncatedSeries:
         {k: n for k, n in acc.items() if n})
 
 
-def _quantum_part(target: TargetSpace, idx: tuple[int, ...], order: int,
-                  count: Count | None,
-                  keep: tuple[int, ...]) -> TruncatedSeries:
-    """Curve-class part of the derivative of the potential along ``idx``.
+def _listed(table: _Expansion, target: TargetSpace, exps: ExponentVector,
+            count: Count | None, listed: dict[ExponentVector, list]
+            ) -> list[tuple[int, int, int]]:
+    """Phi along the index exponents ``exps`` as (tail degree, key, num)
+    graded terms in rising tail degree, I_0(exps) at key 0.  ``count`` is
+    that of ``_terms``, or None for the invariants, whose lists the table
+    keeps; other lists go into ``listed``, one per exponent vector."""
+    if count is None:
+        listed = table.invariant_lists
+    found = listed.get(exps)
+    if found is None:
+        graded = {} if exps[0] else _terms(  # h^0 kills every curve class
+            table, target, exps, count or partial(_invariant, target))
+        if constant := _degree_zero(target, exps):
+            graded[0] = graded.get(0, 0) + constant
+        found = listed[exps] = sorted(
+            (key % table.bound // table.place, key, num)
+            for key, num in graded.items())
+    return found
 
-    A series in the variables dual to the sorted basis indices ``keep``,
-    the others set to zero: the coefficient of x^a / a! is the sum over
-    beta != 0 of I_beta(h^a . h^idx), and ``count(beta, exps)`` gives
-    I_beta for exponents without fundamental or divisor classes (None: the
-    invariants, see ``_terms``).  It is ``_expand`` of ``_terms``: the
-    graded (pairing, tail) terms, expanded through exp(<beta, x>).  What
-    does not depend on ``idx`` comes from the shared ``_Expansion`` of
-    (target, order, keep).  An index 0 (the fundamental class) builds
-    nothing.
-    """
-    idx_exps = exponents_from_classes(target, idx)
+
+def _phi(target: TargetSpace, idx: tuple[int, ...], order: int,
+         count: Count | None, keep: tuple[int, ...]) -> TruncatedSeries:
+    """Phi along ``idx``: a series in the variables dual to the sorted
+    basis indices ``keep``, the others set to zero, whose coefficient of
+    x^a / a! is the sum over every beta of I_beta(h^a . h^idx), ``count``
+    giving beta != 0 (see ``_listed``).  It is ``_expand`` of ``_listed``
+    over the shared ``_Expansion`` of (target, order, keep); an index 0
+    (the fundamental class) leaves the constant I_0 and builds no table."""
+    exps = exponents_from_classes(target, idx)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    if idx_exps[0]:  # the fundamental class kills every curve class
-        return TruncatedSeries.zero(len(keep), order)
+    if exps[0]:
+        return TruncatedSeries.constant(len(keep), order,
+                                        _degree_zero(target, exps))
     table = _expansion(target, order, keep)
-    return _expand(table, _terms(table, target, idx_exps, count))
+    return _expand(table, {key: num for _, key, num in _listed(
+        table, target, exps, count, {})})
 
 
 def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
                    keep: tuple[int, ...],
                    i: int, j: int, k: int, l: int) -> TruncatedSeries:
     """sum_e Phi_ij,e Phi_(m-1-e),kl - Phi_jk,e Phi_i,(m-1-e),l over the
-    kept classes, with the counts and kept classes of ``_quantum_part``.
+    kept classes, with the counts and kept classes of ``_phi``.
 
     The products run on graded terms, before any expansion: each Phi is
-    its ``_terms`` plus I_0(ijk) at key 0, once per index triple, and
-    exp(<beta, x>) exp(<beta', x>) = exp(<beta + beta', x>), so the keys
-    of two terms add.  Two numerators over |a|! and |b|! make one over
+    its ``_listed`` terms, I_0(ijk) at key 0, one list per index triple,
+    and exp(<beta, x>) exp(<beta', x>) = exp(<beta + beta', x>), so the
+    keys of two terms add.  Two numerators over |a|! and |b|! make one over
     (|a| + |b|)! times C(|a| + |b|, |a|), so all 2m products go into one
     accumulator in the normalization of ``_terms``; a square visits each
     unordered pair once.  Only the entries that do not cancel are
@@ -493,21 +490,9 @@ def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
         raise ValueError(f"order must be >= 0, got {order}")
     m = target.basis_size
     table = _expansion(target, order, keep)
-    bound, place = table.bound, table.place
-
-    listed = table.invariant_lists if count is None else {}
-
-    def terms(exps: ExponentVector) -> list[tuple[int, int, int]]:
-        found = listed.get(exps)
-        if found is None:
-            graded = {} if exps[0] else _terms(table, target, exps, count)
-            if constant := _degree_zero(target, exps):
-                graded = {**graded, 0: graded.get(0, 0) + constant}
-            found = listed[exps] = sorted((key % bound // place, key, num)
-                                          for key, num in graded.items())
-        return found
-
-    g = lambda *ijk: terms(exponents_from_classes(target, ijk))
+    listed: dict[ExponentVector, list] = {}
+    g = lambda *ijk: _listed(table, target, exponents_from_classes(
+        target, ijk), count, listed)
     acc: dict[int, int] = {}
     get = acc.get
     for e in range(m):
@@ -539,6 +524,18 @@ def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
     return _expand(table, {key: n for key, n in acc.items() if n})
 
 
+def _nd_count(nd: NdSource | None) -> Count:
+    """N_d from ``nd`` (default ``n_d``), whatever the point exponents."""
+    nd = nd or n_d
+    return lambda d, exps: nd(d)
+
+
+def _nde_count(nde: NdeSource | None) -> Count:
+    """N_(d,e) from ``nde`` (default ``n_de``), whatever the exponents."""
+    nde = nde or n_de
+    return lambda beta, exps: nde(*beta)
+
+
 def gamma_p2_reduced(i: int, j: int, k: int, order: int,
                      nd: NdSource | None = None) -> TruncatedSeries:
     """Reduced quantum structure constant of P^2, one variable.
@@ -551,8 +548,8 @@ def gamma_p2_reduced(i: int, j: int, k: int, order: int,
 
     Any index 0 yields the zero series.
     """
-    return _quantum_part(_P2, (i, j, k), order,
-                         lambda d, exps: (nd or n_d)(d), (2,))
+    phi = _phi(_P2, (i, j, k), order, _nd_count(nd), (2,))
+    return phi - _degree_zero(_P2, exponents_from_classes(_P2, (i, j, k)))
 
 
 def quantum_potential_p2_reduced(order: int, nd: NdSource | None = None
@@ -564,8 +561,7 @@ def quantum_potential_p2_reduced(order: int, nd: NdSource | None = None
 
 def wdvv_residual_p2(order: int, nd: NdSource | None = None) -> TruncatedSeries:
     """G222 + G111*G122 - G112*G112, identically zero for the true counts."""
-    return _wdvv_residual(_P2, order, lambda d, exps: (nd or n_d)(d), (2,),
-                          1, 1, 2, 2)
+    return _wdvv_residual(_P2, order, _nd_count(nd), (2,), 1, 1, 2, 2)
 
 
 def quantum_potential_p1x1(order: int, nde: NdeSource | None = None
@@ -578,23 +574,21 @@ def quantum_potential_p1x1(order: int, nde: NdeSource | None = None
     the exponential because extracting one vertical rule class contributes
     a factor e and one horizontal rule class a factor d.
     """
-    return _quantum_part(P1XP1, (), order,
-                         lambda beta, exps: (nde or n_de)(*beta), (1, 2, 3))
+    return _phi(P1XP1, (), order, _nde_count(nde), (1, 2, 3))
 
 
 def gamma_p1x1(i: int, j: int, k: int, order: int,
                nde: NdeSource | None = None) -> TruncatedSeries:
     """Third partial of the P1xP1 quantum potential with respect to
     x_i, x_j, x_k (indices in 1..3); an index 0 yields the zero series."""
-    return _quantum_part(P1XP1, (i, j, k), order,
-                         lambda beta, exps: (nde or n_de)(*beta), (1, 2, 3))
+    phi = _phi(P1XP1, (i, j, k), order, _nde_count(nde), (1, 2, 3))
+    return phi - _degree_zero(P1XP1, exponents_from_classes(P1XP1, (i, j, k)))
 
 
 def wdvv_residual_p1x1(order: int, nde: NdeSource | None = None
                        ) -> TruncatedSeries:
     """G333 + G112*G233 + G122*G133 - G123*G123 - G223*G113."""
-    return _wdvv_residual(P1XP1, order,
-                          lambda beta, exps: (nde or n_de)(*beta), (1, 2, 3),
+    return _wdvv_residual(P1XP1, order, _nde_count(nde), (1, 2, 3),
                           1, 2, 3, 3)
 
 
@@ -610,12 +604,8 @@ def phi_ijk(target: TargetSpace, i: int, j: int, k: int,
     """
     key = (target, tuple(sorted((i, j, k))), order)
     if key not in _PHI_CACHE:
-        quantum = _quantum_part(target, key[1], order, None,
-                                tuple(range(target.basis_size)))
-        # plus the degree-zero constant I_0(ijk)
-        constant = _degree_zero(target,
-                                exponents_from_classes(target, key[1]))
-        _PHI_CACHE[key] = quantum + constant if constant else quantum
+        _PHI_CACHE[key] = _phi(target, key[1], order, None,
+                               tuple(range(target.basis_size)))
     return _PHI_CACHE[key]
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import re
 import sys
 from fractions import Fraction
@@ -285,3 +287,36 @@ def test_the_listing_bound_refuses_p4_from_order_3161():
             r"^order 3161 on P\^4 is too large: with f = 2 free classes, "
             r"f \* C\(f \+ order, order\) is over 10000000$")):
         _check_listing(ProjectiveSpace(4), 3161, tuple(range(5)))
+
+
+def test_a_structure_constant_along_the_fundamental_class_builds_no_table():
+    # h^0 kills every curve class, so Phi_0jk is the constant I_0(0jk) even
+    # on a target whose table is past the listing bound.
+    from gwcalc import potentials
+    from gwcalc.potentials import _ListingTooLarge
+    potentials.clear_caches()
+    big = ProjectiveSpace(1000)
+    assert phi_ijk(big, 0, 1, 999, 3) == TruncatedSeries.constant(1001, 3, 1)
+    assert gamma_p2_reduced(0, 1, 2, 10 ** 6).is_zero()
+    assert not potentials._TABLES
+    with pytest.raises(_ListingTooLarge):
+        phi_ijk(big, 1, 1, 998, 3)
+
+
+def test_structure_constant_renders_are_pinned():
+    # sha256 of the renders (one per line) as the separate builders of the
+    # quantum part and the degree-zero constant printed them; index-0
+    # triples and unsorted triples included.
+    lines = []
+    for target, order in ((P1, 6), (P2, 5), (P3, 4), (P1XP1, 5)):
+        for ijk in itertools.product(range(target.basis_size), repeat=3):
+            lines.append(phi_ijk(target, *ijk, order).render())
+    for order in (*range(15), 150):
+        for ijk in itertools.product(range(3), repeat=3):
+            lines.append(gamma_p2_reduced(*ijk, order).render())
+    for order in range(15):
+        for ijk in itertools.product(range(4), repeat=3):
+            lines.append(gamma_p1x1(*ijk, order).render())
+        lines.append(quantum_potential_p1x1(order).render())
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "687512702c2daca38928daa9be7e98db36ebf1911c2438b888bc71859e34175a")

@@ -20,10 +20,9 @@ import pytest
 
 from gwcalc.gw import _invariant, _strip, _vdim, collected_invariant, \
     gw_invariant
-from gwcalc.potentials import (_quantum_part, _wdvv_residual,
-                               gamma_p1x1, gamma_p2_reduced, phi_ijk,
-                               wdvv_general_pr, wdvv_residual_p1x1,
-                               wdvv_residual_p2)
+from gwcalc.potentials import (_phi, _wdvv_residual, gamma_p1x1,
+                               gamma_p2_reduced, phi_ijk, wdvv_general_pr,
+                               wdvv_residual_p1x1, wdvv_residual_p2)
 from gwcalc.surfaces import n_d, n_de
 from gwcalc.series import TruncatedSeries
 from gwcalc.targets import (P1XP1, InvariantKey, ProjectiveSpace,
@@ -172,8 +171,7 @@ def test_p1_structure_constants_match_the_definition(bumped):
     for order in range(9):
         phi = defined_phi(P1, order, bumped)
         for ijk in itertools.combinations_with_replacement(range(2), 3):
-            assert_same(_quantum_part(P1, ijk, order, count, (0, 1))
-                        + constant(P1, ijk), phi(ijk))
+            assert_same(_phi(P1, ijk, order, count, (0, 1)), phi(ijk))
         for quad, reference in reference_residuals(P1, phi):
             assert reference.is_zero()
             assert _wdvv_residual(P1, order, count, (0, 1), *quad).is_zero()
@@ -193,8 +191,7 @@ def test_perturbed_general_residuals_match_the_reference(
     def count(beta, exps):
         return _invariant(target, beta, exps) + (beta == bumped)
 
-    phi = lambda ijk: _quantum_part(target, ijk, order, count, keep) \
-        + constant(target, ijk)
+    phi = lambda ijk: _phi(target, ijk, order, count, keep)
     seen = 0
     for quad in itertools.product(range(m), repeat=4):
         residual = _wdvv_residual(target, order, count, keep, *quad)
