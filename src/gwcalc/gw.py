@@ -32,10 +32,12 @@ generator frames (``_reconstructed``), so its depth is bounded by memory,
 not by the interpreter's recursion limit.
 
 Every target runs this path in one integer function (``_invariant``),
-which the potentials call directly; ``Fraction`` appears only in the
-values the public functions return.  The memo is keyed by stripped keys,
-is write-once, and holds values independent of evaluation order, so
-concurrent use is safe.
+which ends in the stripped entry (``_stripped``): the curve count or the
+reconstruction of a stripped exponent tuple that meets the gate.  The
+potentials call that entry directly, on keys they build stripped and
+within the gate; ``Fraction`` appears only in the values the public
+functions return.  The memo is keyed by stripped keys, is write-once, and
+holds values independent of evaluation order, so concurrent use is safe.
 
 A memo key is (r, width, d, packed) (``_key``): the exponent tuple packed
 into one int with exps[k] in the width-bit digit k, so each side key of a
@@ -173,7 +175,7 @@ def gw_invariant(key: InvariantKey) -> Fraction:
 def _invariant(target: TargetSpace, degree: Degree, exps: ExponentVector
                ) -> int:
     """The invariant of a valid degree and exponent tuple: the gate, degree
-    zero and the strip, then the curve count or the reconstruction."""
+    zero and the strip, then ``_stripped``."""
     pairings = target.pairings(degree)
     total = sum(pairings)
     if total_codim(target, exps) != _vdim(target, total, sum(exps)):
@@ -181,19 +183,25 @@ def _invariant(target: TargetSpace, degree: Degree, exps: ExponentVector
     if not total:
         return _degree_zero(target, exps)
     mult, exps = _strip(exps, pairings)
-    if not mult:
-        return 0
+    return mult * _stripped(target, degree, exps) if mult else 0
+
+
+def _stripped(target: TargetSpace, degree: Degree, exps: ExponentVector
+              ) -> int:
+    """The invariant of a positive degree and a stripped exponent tuple (no
+    fundamental or divisor class) that meets the gate: the curve count or
+    the reconstruction."""
     # The gate leaves exactly 2(d+e) - 1 point classes on P1 x P1 and
     # 3d - 1 on P^2.
     if isinstance(target, P1xP1):
-        return mult * n_de(*degree)
+        return n_de(*degree)
     if target.r == 2:
-        return mult * n_d(degree)
+        return n_d(degree)
     if sum(exps) < 3:  # a line through two points
-        return mult
+        return 1
     key = _key(target.r, degree, exps)
     value = _PR_CACHE.get(key)
-    return mult * (_reconstructed(key) if value is None else value)
+    return _reconstructed(key) if value is None else value
 
 
 def _key(r: int, d: int, exps: ExponentVector) -> _MemoKey:

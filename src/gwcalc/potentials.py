@@ -28,7 +28,12 @@ section 2).  So the builder lists graded terms, one int numerator per
 (pairing of beta, tail t over the other kept classes), over |t|!, the
 factorial of the tail's own degree as in an EGF coefficient, I_0 at key 0,
 and one expansion turns them into a series; a table keeps the invariants'
-lists.  The residual multiplies the same lists, where
+lists.  The builder works per listed term: it strips the index classes
+once per structure constant, so a curve class's multiplier is a product
+of its pairings; per total degree it lists the tails the gate admits once,
+from the free vectors the table keeps bucketed by gate weight; and it
+reads each invariant by its stripped key (``gw._stripped``), since the key
+is built within the gate.  The residual multiplies the same lists, where
 exp(<beta, x>) exp(<beta', x>) = exp(<beta + beta', x>) makes their
 keys add and a binomial keeps the product over the factorial of its
 degree, so its ints stay the size of the coefficients; it expands only the
@@ -42,11 +47,11 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import comb, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable
 
 from .exact import factorial
-from .gw import _degree_zero, _invariant, _strip, _vdim
+from .gw import _degree_zero, _stripped, _vdim
 from .series import TruncatedSeries, _variable_keys
 from .surfaces import n_d, n_de
 from .targets import (P1XP1, Degree, ExponentVector, P1xP1, ProjectiveSpace,
@@ -124,10 +129,11 @@ def gw_potential_p1(order: int) -> TruncatedSeries:
 
 # An expansion lists every exponent vector of total <= order over its f free
 # classes (the placed classes but the last, r - 2 on P^r when every class is
-# kept, none on P^1, P^2 or P1xP1): C(f + order, order) vectors of f ints.
-# Past this many ints a table is refused before any listing: on a 2-vCPU
-# host p3000 at order 1 (9.0e6) answered in 3.3 s, p300 at order 2 (1.3e7)
-# took 22 s.
+# kept, none on P^1, P^2 or P1xP1): C(f + order, order) vectors, each kept
+# as sparse (class, count) pairs but counted here as the f ints of the dense
+# listing the rule was set on.  Past this many ints a table is refused
+# before any listing: on a 2-vCPU host, with the dense listing, p3000 at
+# order 1 (9.0e6) answered in 3.3 s, p300 at order 2 (1.3e7) took 22 s.
 _MAX_LISTING = 10 ** 7
 
 # It also lists big ints of up to log2(order!) <= order * bitlen(order)
@@ -226,8 +232,11 @@ class _Expansion:
       degree, ``sizes[d]`` the number of heads of degree <= d,
       ``head_scale`` their H / u!, and ``columns`` their exponents, one
       column per divisor;
-    * ``free``: (free exponents, gate weight, key, degree |f|, |f|! / f!)
-      per free vector, and ``top_key`` the key of the last placed class;
+    * ``buckets``: (gate weight, bucket) in rising weight, one per weight
+      that some free vector has; a bucket lists (f, key, degree |f|,
+      |f|! / f!) per free vector f of that weight in rising degree, f as
+      sparse (class, count) pairs; ``top_key`` is the key of the last
+      placed class;
     * ``tail_scale``: T / n! for each tail degree n, by a running product
       (``[1]`` when no class is placed, so every tail is empty);
     * ``unit_at``: per pairing index, the unit that packs the pairing of
@@ -247,7 +256,7 @@ class _Expansion:
 
     __slots__ = ("nvars", "order", "weight", "placed", "top", "bound",
                  "place", "head_den", "heads", "sizes", "head_scale",
-                 "columns", "free", "top_key", "tail_scale", "pair_radix",
+                 "columns", "buckets", "top_key", "tail_scale", "pair_radix",
                  "unit_at", "classes", "rows", "invariant_lists")
 
     def __init__(self, target: TargetSpace, order: int,
@@ -269,14 +278,23 @@ class _Expansion:
         self.columns = columns = list(zip(*heads))
         self.heads = _dot(columns, [unit[c] for c in divisors], len(heads))
         self.head_scale = _scaled([head_den] * len(heads), columns, facts)
-        free = placed[:-1]
-        vectors = list(_exponent_vectors(len(free), order))
-        by_class = list(zip(*vectors))
-        f_degrees = list(map(sum, vectors))
-        self.free = list(zip(
-            vectors, _dot(by_class, [weight[c] for c in free], len(vectors)),
-            _dot(by_class, [unit[c] for c in free], len(vectors)), f_degrees,
-            _scaled([facts[n] for n in f_degrees], by_class, facts)))
+        # (f, weight, key, |f|, f!) per free vector, one class at a time;
+        # only the vectors below the order (``short``) take a later class.
+        empty = ((), 0, 0, 0, 1)
+        vectors, short = [empty], [empty]
+        for c in placed[:-1]:
+            w, u = weight[c], unit[c]
+            grown = [(f + ((c, a),), f_weight + a * w, f_key + a * u, n + a,
+                      den * facts[a])
+                     for f, f_weight, f_key, n, den in short
+                     for a in range(1, order - n + 1)]
+            vectors += grown
+            short += [vector for vector in grown if vector[3] < order]
+        buckets: dict[int, list[tuple]] = {}
+        for f, f_weight, f_key, n, den in sorted(vectors, key=itemgetter(3)):
+            buckets.setdefault(f_weight, []).append(
+                (f, f_key, n, facts[n] // den))
+        self.buckets = sorted(buckets.items())
         self.top_key = unit[placed[-1]] if placed else 0
         # T / n! from n = order down to 0, then in rising n.
         self.tail_scale = list(accumulate(range(order, 0, -1), mul,
@@ -355,21 +373,27 @@ def _terms(table: _Expansion, target: TargetSpace, idx_exps: ExponentVector,
     """The graded terms of the curve-class part along the index classes
     ``idx_exps`` (no fundamental class among them): one int numerator per
     (pairing, tail) key, over the factorial of the tail's degree.  ``count``
-    gives I_beta for stripped exponents.
+    gives I_beta for stripped exponents that meet the gate.
 
     The term num at key pairing * bound + key(t) stands for
     num / |t|! * x^t * exp(<beta, x>) over the kept divisors, and its sum
     over beta != 0 and the tails is the quantum part: I_beta * mult /
     t! = I_beta * mult * (|f|! / f!) * C(|t|, last) / |t|! for the free
-    part f and the last placed exponent of t.  Per beta the strip takes
-    the divisor factors of the index classes into the count, and the gate
-    solves the exponent of the last placed class from those of the free
-    classes.  The keys add under products: the tails as series keys, the
-    pairings digit by digit."""
-    placed, top, bound, order = (table.placed, table.top, table.bound,
-                                 table.order)
-    top_key = table.top_key
-    offset = sum(w * a for w, a in zip(table.weight, idx_exps))
+    part f and the last placed exponent of t.  The strip is made once per
+    call: the index classes' divisors leave the stripped base, and each
+    beta's multiplier is the product of its pairings to their exponents.
+    Per total degree the gate solves the exponent of the last placed class
+    from the free part's gate weight, so the buckets of the weights that
+    leave a multiple of ``top`` list the tails once, and each curve class
+    of that total reads them.  The keys add under products: the tails as
+    series keys, the pairings digit by digit."""
+    top, order, top_key = table.top, table.order, table.top_key
+    buckets, placed = table.buckets, table.placed
+    strip = len(target.params) + 1  # h^0 and the divisors
+    base = (0,) * strip + idx_exps[strip:]
+    divisors = [(i, a) for i, a in enumerate(idx_exps[1:strip]) if a]
+    offset = sum(map(mul, table.weight, idx_exps))
+    step = top or 1  # with no placed class only gap 0 reaches the listing
     terms: dict[int, int] = {}
     get = terms.get
     total = 0
@@ -378,26 +402,37 @@ def _terms(table: _Expansion, target: TargetSpace, idx_exps: ExponentVector,
         gap = _vdim(target, total, 0) - offset
         if gap > top * order:
             break
+        tails = []
+        for weight, bucket in buckets:
+            if weight > gap:
+                break
+            last, rest = divmod(gap - weight, step)
+            if rest:
+                continue
+            room, last_key = order - last, last * top_key
+            for f, f_key, n, f_scale in bucket:
+                if n > room:  # the tail alone exceeds the order
+                    break
+                exps = list(base)
+                for c, a in f:
+                    exps[c] += a
+                if last:
+                    exps[placed[-1]] += last
+                tails.append((f_key + last_key, tuple(exps),
+                              f_scale * comb(n + last, last) if n else 1))
+        if not tails:
+            continue
         for beta, pairing, high in table.curve_classes(target, total):
-            mult, base = _strip(idx_exps, pairing)
+            mult = 1
+            for i, a in divisors:
+                mult *= pairing[i] ** a
             if not mult:
                 continue
-            for f, f_weight, f_key, f_degree, f_scale in table.free:
-                rest = gap - f_weight
-                if rest < 0 or (rest % top if top else rest):
-                    continue
-                last = rest // top if top else 0
-                tail_key = f_key + last * top_key
-                if tail_key >= bound:  # the tail alone exceeds the order
-                    continue
-                exps = list(base)
-                for c, a in zip(placed, f + (last,)):
-                    exps[c] += a
-                value = count(beta, tuple(exps))
+            for tail_key, exps, scale in tails:
+                value = count(beta, exps)
                 if value:
                     key = high + tail_key
-                    terms[key] = get(key, 0) + value * mult * f_scale * comb(
-                        f_degree + last, last)
+                    terms[key] = get(key, 0) + value * mult * scale
     return terms
 
 
@@ -444,7 +479,7 @@ def _listed(table: _Expansion, target: TargetSpace, exps: ExponentVector,
     found = listed.get(exps)
     if found is None:
         graded = {} if exps[0] else _terms(  # h^0 kills every curve class
-            table, target, exps, count or partial(_invariant, target))
+            table, target, exps, count or partial(_stripped, target))
         if constant := _degree_zero(target, exps):
             graded[0] = graded.get(0, 0) + constant
         found = listed[exps] = sorted(

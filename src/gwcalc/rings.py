@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .potentials import phi_ijk
-from .series import _DOT, TruncatedSeries, _term
+from .series import _DOT, TruncatedSeries, _degree, _term
 from .targets import P1xP1, ProjectiveSpace, TargetSpace
 
 Monomial = tuple[int, ...]  # exponents of the deformation parameters
@@ -50,8 +50,11 @@ class RingElement:
                 target.codim(basis)  # range check
                 entry: dict[Monomial, Fraction] = {}
                 for mono, coeff in poly.items():
-                    if len(mono) != nparams or any(p < 0 for p in mono):
-                        raise ValueError(f"bad parameter monomial {mono}")
+                    try:  # the exponent-vector rule of series terms
+                        _degree(mono, nparams)
+                    except ValueError:
+                        raise ValueError(
+                            f"bad parameter monomial {mono}") from None
                     value = Fraction(coeff)
                     if value:
                         entry[tuple(mono)] = value

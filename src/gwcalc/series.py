@@ -31,7 +31,8 @@ its inner loop at one bound.  Keys are rebuilt only where the order
 changes, through the exponent tuple: ``partial_derivative``, ``truncate``,
 and sums or products of operands of different orders.  Elsewhere exponent
 tuples appear only at the boundary: the constructor and ``coefficient``
-(both check them by ``_degree``), ``terms``, ``leading_term``, ``render``.
+(both check them by ``_degree``, as ``rings`` checks its parameter
+monomials), ``terms``, ``leading_term``, ``render``.
 
 ``Fraction`` appears only at the boundary too: the constructor and the
 scalar operands take ints and Fractions, and ``terms`` (a read-only view

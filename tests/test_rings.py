@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -267,6 +268,21 @@ def test_big_product_past_the_size_bound_raises_at_once(r, order):
         big_qmul(BigQuantumElement.basis(target, 1, order),
                  BigQuantumElement.basis(target, 2, order))
     assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize("r, order, digest", [
+    (20, 4, "c2ec1c696339cd980d4fa8ddb4f844cdfa5e313596c83c6aadbbf4cc8509ab36"),
+    (50, 2, "38597ad8e260fdb6eded8bccc49083da8f7729b2eb52a2685158685d2209c0f4"),
+])
+def test_wide_big_products_are_pinned(r, order, digest):
+    # sha256 of the render of h1 * h2 as the dense listing of free exponent
+    # vectors printed it.  With 18 and 48 free classes, the gate-weight
+    # buckets hold vectors over several classes; the benchmark's big
+    # products reach P^3 at most.
+    target = ProjectiveSpace(r)
+    product = big_qmul(BigQuantumElement.basis(target, 1, order),
+                       BigQuantumElement.basis(target, 2, order))
+    assert hashlib.sha256(product.render().encode()).hexdigest() == digest
 
 
 def test_big_commutativity_random_elements():
