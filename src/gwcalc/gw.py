@@ -53,6 +53,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from itertools import compress
 from math import comb
 
 from .surfaces import n_d, n_de
@@ -77,10 +78,13 @@ def _vdim(target: TargetSpace, total: int, n: int) -> int:
 
 def _degree_zero(target: TargetSpace, exps: ExponentVector) -> int:
     """Degree-zero invariant: only three-point invariants survive, and
-    those are one when the classes' words add up to the point class's."""
+    those are one when the classes' words add up to the point class's.
+    Only the marked classes' words are read, picked out by ``compress``,
+    so a wide target costs one pass over the exponents in C."""
     if sum(exps) != 3:
         return 0
-    classes = [word for word, a in zip(target.words, exps) for _ in range(a)]
+    classes = [word for word, a in compress(zip(target.words, exps), exps)
+               for _ in range(a)]
     return int(tuple(map(sum, zip(*classes))) == target.words[-1])
 
 

@@ -27,17 +27,23 @@ through exp(<beta, x>), the q = e^t substitution (Kontsevich-Manin 1994,
 section 2).  So the builder lists graded terms, one int numerator per
 (pairing of beta, tail t over the other kept classes), over |t|!, the
 factorial of the tail's own degree as in an EGF coefficient, I_0 at key 0,
-and one expansion turns them into a series; a table keeps the invariants'
-lists.  The builder works per listed term: it strips the index classes
-once per structure constant, so a curve class's multiplier is a product
-of its pairings; per total degree it lists the tails the gate admits once,
-from the free vectors the table keeps bucketed by gate weight; and it
-reads each invariant by its stripped key (``gw._stripped``), since the key
-is built within the gate.  The residual multiplies the same lists, where
-exp(<beta, x>) exp(<beta', x>) = exp(<beta + beta', x>) makes their
-keys add and a binomial keeps the product over the factorial of its
-degree, so its ints stay the size of the coefficients; it expands only the
-entries that do not cancel: a vanishing residual expands nothing.
+and one expansion turns them into a series.  A table of one (target,
+order, kept classes) is whole once built, its curve classes listed up to
+the largest total degree the order reaches; only its per-key memos (the
+rows of exp(<beta, x>) and the invariants' lists, which every default
+count reads) fill on use, each entry a function of its own key alone, so
+threads that share a table read the same values.  The builder reads the
+target from the table and works per listed term: it strips the index
+classes once per structure constant, so a curve class's multiplier is a
+product of its pairings; per total degree it lists the tails the gate
+admits once, from the free vectors the table keeps bucketed by gate
+weight; and it reads each invariant by its stripped key
+(``gw._stripped``), since the key is built within the gate.  The residual
+multiplies the same lists, where exp(<beta, x>) exp(<beta', x>) =
+exp(<beta + beta', x>) makes their keys add and a binomial keeps the
+product over the factorial of its degree, so its ints stay the size of
+the coefficients; it expands only the entries that do not cancel: a
+vanishing residual expands nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import comb, prod
 from operator import itemgetter, mul
 from typing import Callable
@@ -53,7 +59,6 @@ from typing import Callable
 from .exact import factorial
 from .gw import _degree_zero, _stripped, _vdim
 from .series import TruncatedSeries, _variable_keys
-from .surfaces import n_d, n_de
 from .targets import (P1XP1, Degree, ExponentVector, P1xP1, ProjectiveSpace,
                       TargetSpace, exponents_from_classes)
 
@@ -215,7 +220,9 @@ def _check_listing(target: TargetSpace, order: int, keep: tuple[int, ...]
 class _Expansion:
     """What ``_terms`` and ``_expand`` need of one (target, order, keep),
     whatever the index triple, so the structure constants of one WDVV
-    residual or one big product share it.
+    residual or one big product share it.  It is complete once built:
+    only ``rows`` and ``invariant_lists`` fill on use, per key, each entry
+    a function of its key alone.
 
     The kept classes split into the divisors (gate weight codim - 1 = 0,
     one per generator at indices 1, 2, ...) and the placed classes (weight
@@ -228,6 +235,7 @@ class _Expansion:
     packed series keys (radix order + 1, below ``bound``, the degree digit
     at ``place``), built as sums of the variables' keys:
 
+    * ``target``: the target, for the builder and the invariants;
     * ``heads``: the key of every head of degree <= order in rising
       degree, ``sizes[d]`` the number of heads of degree <= d,
       ``head_scale`` their H / u!, and ``columns`` their exponents, one
@@ -239,13 +247,12 @@ class _Expansion:
       placed class;
     * ``tail_scale``: T / n! for each tail degree n, by a running product
       (``[1]`` when no class is placed, so every tail is empty);
-    * ``unit_at``: per pairing index, the unit that packs the pairing of
-      a kept divisor into a graded key above ``bound``, in digits of radix
-      ``pair_radix``, wide enough for the sum of two pairings of any curve
-      class the order reaches (0 for a divisor not kept);
-    * ``classes``: per total degree, (beta, pairing, packed pairing) of
-      each curve class, listed up to the largest total asked for so far
-      (``curve_classes``);
+    * ``classes``: per total degree 0..``most`` (``_check_listing``, the
+      largest whose terms reach the order), (beta, pairing, packed
+      pairing) of each curve class; the packed pairing holds the pairing
+      of each kept divisor above ``bound``, in digits of radix
+      ``pair_radix``, wide enough for the sum of two pairings of any
+      curve class listed;
     * ``rows``: per packed pairing tuple, the nonzero terms (head key,
       <beta, x>^u / u! times H) of exp(<beta, x>) up to the longest
       degree asked for so far, with their count of heads;
@@ -254,16 +261,16 @@ class _Expansion:
       structure constant, residual or big product that asks.
     """
 
-    __slots__ = ("nvars", "order", "weight", "placed", "top", "bound",
-                 "place", "head_den", "heads", "sizes", "head_scale",
+    __slots__ = ("target", "nvars", "order", "weight", "placed", "top",
+                 "bound", "place", "head_den", "heads", "sizes", "head_scale",
                  "columns", "buckets", "top_key", "tail_scale", "pair_radix",
-                 "unit_at", "classes", "rows", "invariant_lists")
+                 "classes", "rows", "invariant_lists")
 
     def __init__(self, target: TargetSpace, order: int,
                  keep: tuple[int, ...]):
         weight, divisors, placed, top, most = _check_listing(
             target, order, keep)
-        self.nvars, self.order = len(keep), order
+        self.target, self.nvars, self.order = target, len(keep), order
         self.weight, self.placed, self.top = weight, placed, top
         self.bound = bound = (order + 1) ** (len(keep) + 1)
         self.place = bound // (order + 1)
@@ -301,24 +308,16 @@ class _Expansion:
                                           initial=1))[::-1] if placed else [1]
         # A product adds two pairings digit by digit.
         self.pair_radix = radix = 2 * most + 1
-        self.unit_at = unit_at = [0] * len(weight)  # divisor c at c - 1
-        for i, c in enumerate(divisors):
-            unit_at[c - 1] = radix ** i * bound
-        self.classes: list[list[tuple[Degree, tuple[int, ...], int]]] = [[]]
+        # The pairing with divisor c, at pairing[c - 1], packs at digit i.
+        units = [(c - 1, radix ** i * bound) for i, c in enumerate(divisors)]
+        self.classes = [
+            [(beta, pairing, sum(pairing[at] * u for at, u in units))
+             for beta in target.degrees(total)
+             for pairing in (target.pairings(beta),)]
+            for total in range(most + 1)]
         self.rows: dict[int, list[tuple[int, int]]] = {}
         self.invariant_lists: dict[ExponentVector,
                                    list[tuple[int, int, int]]] = {}
-
-    def curve_classes(self, target: TargetSpace, total: int
-                      ) -> list[tuple[Degree, tuple[int, ...], int]]:
-        """(beta, pairing, packed pairing) of each curve class of one total
-        degree, listed on first use."""
-        classes, unit_at = self.classes, self.unit_at
-        while len(classes) <= total:
-            classes.append([(beta, pairing, sum(map(mul, pairing, unit_at)))
-                            for beta in target.degrees(len(classes))
-                            for pairing in (target.pairings(beta),)])
-        return classes[total]
 
     def row(self, pairing: int, degree: int) -> list[tuple[int, int]]:
         """The terms of exp(<beta, x>) up to at least ``degree`` for one
@@ -368,12 +367,13 @@ def _scaled(dens: list[int], columns: list[tuple[int, ...]],
     return out
 
 
-def _terms(table: _Expansion, target: TargetSpace, idx_exps: ExponentVector,
-           count: Count) -> dict[int, int]:
+def _terms(table: _Expansion, idx_exps: ExponentVector, count: Count
+           ) -> dict[int, int]:
     """The graded terms of the curve-class part along the index classes
-    ``idx_exps`` (no fundamental class among them): one int numerator per
-    (pairing, tail) key, over the factorial of the tail's degree.  ``count``
-    gives I_beta for stripped exponents that meet the gate.
+    ``idx_exps`` (no fundamental class among them) on the table's target:
+    one int numerator per (pairing, tail) key, over the factorial of the
+    tail's degree.  ``count`` gives I_beta for stripped exponents that
+    meet the gate.
 
     The term num at key pairing * bound + key(t) stands for
     num / |t|! * x^t * exp(<beta, x>) over the kept divisors, and its sum
@@ -385,20 +385,21 @@ def _terms(table: _Expansion, target: TargetSpace, idx_exps: ExponentVector,
     Per total degree the gate solves the exponent of the last placed class
     from the free part's gate weight, so the buckets of the weights that
     leave a multiple of ``top`` list the tails once, and each curve class
-    of that total reads them.  The keys add under products: the tails as
-    series keys, the pairings digit by digit."""
-    top, order, top_key = table.top, table.order, table.top_key
-    buckets, placed = table.buckets, table.placed
+    of that total, as the table lists them, reads them; the totals stop at
+    the first whose gap passes every tail, which the table's last total
+    bounds.  The keys add under products: the tails as series keys, the
+    pairings digit by digit."""
+    target, top, order = table.target, table.top, table.order
+    buckets, placed, top_key = table.buckets, table.placed, table.top_key
     strip = len(target.params) + 1  # h^0 and the divisors
     base = (0,) * strip + idx_exps[strip:]
     divisors = [(i, a) for i, a in enumerate(idx_exps[1:strip]) if a]
-    offset = sum(map(mul, table.weight, idx_exps))
+    offset = sum(map(mul, compress(table.weight, idx_exps),  # marked only
+                     compress(idx_exps, idx_exps)))
     step = top or 1  # with no placed class only gap 0 reaches the listing
     terms: dict[int, int] = {}
     get = terms.get
-    total = 0
-    while True:
-        total += 1
+    for total in range(1, len(table.classes)):
         gap = _vdim(target, total, 0) - offset
         if gap > top * order:
             break
@@ -422,7 +423,7 @@ def _terms(table: _Expansion, target: TargetSpace, idx_exps: ExponentVector,
                               f_scale * comb(n + last, last) if n else 1))
         if not tails:
             continue
-        for beta, pairing, high in table.curve_classes(target, total):
+        for beta, pairing, high in table.classes[total]:
             mult = 1
             for i, a in divisors:
                 mult *= pairing[i] ** a
@@ -467,19 +468,20 @@ def _expand(table: _Expansion, terms: dict[int, int]) -> TruncatedSeries:
         {k: n for k, n in acc.items() if n})
 
 
-def _listed(table: _Expansion, target: TargetSpace, exps: ExponentVector,
-            count: Count | None, listed: dict[ExponentVector, list]
-            ) -> list[tuple[int, int, int]]:
+def _listed(table: _Expansion, exps: ExponentVector, count: Count | None,
+            listed: dict[ExponentVector, list]) -> list[tuple[int, int, int]]:
     """Phi along the index exponents ``exps`` as (tail degree, key, num)
-    graded terms in rising tail degree, I_0(exps) at key 0.  ``count`` is
-    that of ``_terms``, or None for the invariants, whose lists the table
-    keeps; other lists go into ``listed``, one per exponent vector."""
+    graded terms in rising tail degree, I_0(exps) at key 0, on the table's
+    target.  ``count`` is that of ``_terms``, or None for the invariants
+    (``gw._stripped``, every default count), whose lists the table keeps;
+    other lists go into ``listed``, one per exponent vector."""
     if count is None:
         listed = table.invariant_lists
     found = listed.get(exps)
     if found is None:
+        target = table.target
         graded = {} if exps[0] else _terms(  # h^0 kills every curve class
-            table, target, exps, count or partial(_stripped, target))
+            table, exps, count or partial(_stripped, target))
         if constant := _degree_zero(target, exps):
             graded[0] = graded.get(0, 0) + constant
         found = listed[exps] = sorted(
@@ -504,7 +506,7 @@ def _phi(target: TargetSpace, idx: tuple[int, ...], order: int,
                                         _degree_zero(target, exps))
     table = _expansion(target, order, keep)
     return _expand(table, {key: num for _, key, num in _listed(
-        table, target, exps, count, {})})
+        table, exps, count, {})})
 
 
 def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
@@ -526,8 +528,8 @@ def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
     m = target.basis_size
     table = _expansion(target, order, keep)
     listed: dict[ExponentVector, list] = {}
-    g = lambda *ijk: _listed(table, target, exponents_from_classes(
-        target, ijk), count, listed)
+    g = lambda *ijk: _listed(table, exponents_from_classes(target, ijk),
+                             count, listed)
     acc: dict[int, int] = {}
     get = acc.get
     for e in range(m):
@@ -559,16 +561,16 @@ def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
     return _expand(table, {key: n for key, n in acc.items() if n})
 
 
-def _nd_count(nd: NdSource | None) -> Count:
-    """N_d from ``nd`` (default ``n_d``), whatever the point exponents."""
-    nd = nd or n_d
-    return lambda d, exps: nd(d)
+def _nd_count(nd: NdSource | None) -> Count | None:
+    """N_d from ``nd``, whatever the point exponents; None for the default
+    counts, which the table reads as invariants (``_listed``)."""
+    return None if nd is None else lambda d, exps: nd(d)
 
 
-def _nde_count(nde: NdeSource | None) -> Count:
-    """N_(d,e) from ``nde`` (default ``n_de``), whatever the exponents."""
-    nde = nde or n_de
-    return lambda beta, exps: nde(*beta)
+def _nde_count(nde: NdeSource | None) -> Count | None:
+    """N_(d,e) from ``nde``, whatever the exponents; None for the default
+    counts, as in ``_nd_count``."""
+    return None if nde is None else lambda beta, exps: nde(*beta)
 
 
 def gamma_p2_reduced(i: int, j: int, k: int, order: int,
@@ -638,10 +640,11 @@ def phi_ijk(target: TargetSpace, i: int, j: int, k: int,
     I(h^a . h^i . h^j . h^k), so no derivative-induced order loss occurs.
     """
     key = (target, tuple(sorted((i, j, k))), order)
-    if key not in _PHI_CACHE:
-        _PHI_CACHE[key] = _phi(target, key[1], order, None,
-                               tuple(range(target.basis_size)))
-    return _PHI_CACHE[key]
+    found = _PHI_CACHE.get(key)
+    if found is None:
+        found = _PHI_CACHE[key] = _phi(target, key[1], order, None,
+                                       tuple(range(target.basis_size)))
+    return found
 
 
 def clear_caches() -> None:

@@ -485,6 +485,22 @@ def test_p2_invariants_read_the_plane_counts_at_high_degree():
     assert collected_invariant(P2, (0, 2, 1199)) == 400 ** 2 * n_d(400)
 
 
+def test_the_generic_reconstruction_gives_the_plane_counts_to_degree_150():
+    # The public entry sends P^2 to surfaces.n_d, so the splitting formula
+    # of _reconstruct is run at r = 2 through its private entry.  It shares
+    # no code with _fill_nd: its binomials are split multiplicities and its
+    # degrees come from the dimension gate.  One cold query at d = 150
+    # leaves every lower degree's key in the memo.
+    gw_module.clear_caches()
+    try:
+        key = lambda d: gw_module._key(2, d, (0, 0, 3 * d - 1))
+        assert gw_module._reconstructed(key(150)) == n_d(150)
+        for d in range(2, 151):
+            assert gw_module._PR_CACHE[key(d)] == n_d(d), d
+    finally:
+        gw_module.clear_caches()
+
+
 @pytest.mark.parametrize("target, degree, exponents, message", [
     (P2, 1, (0, 2), "exponent vector length 2 does not match basis size 3 "
                     "of P^2"),

@@ -320,3 +320,51 @@ def test_structure_constant_renders_are_pinned():
         lines.append(quantum_potential_p1x1(order).render())
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "687512702c2daca38928daa9be7e98db36ebf1911c2438b888bc71859e34175a")
+
+
+def test_threads_sharing_a_table_read_the_same_structure_constants():
+    # Eight threads call phi_ijk at every sorted index triple on one fresh
+    # table, started together behind a barrier with a tiny switch interval
+    # so that they interleave inside the table's lazy fills; each thread's
+    # digest of the renders must equal the single-threaded one.
+    import threading
+    from gwcalc import potentials
+    cases = ((P3, 8), (ProjectiveSpace(4), 6), (P1XP1, 10), (P2, 30))
+
+    def digest(target, order):
+        triples = itertools.combinations_with_replacement(
+            range(target.basis_size), 3)
+        return hashlib.sha256("\n".join(
+            phi_ijk(target, *ijk, order).render()
+            for ijk in triples).encode()).hexdigest()
+
+    expected = {}
+    for case in cases:
+        potentials.clear_caches()
+        expected[case] = digest(*case)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(15):
+            for case in cases:
+                potentials.clear_caches()
+                barrier = threading.Barrier(8, timeout=60)
+                found = [None] * 8
+
+                def run(slot):
+                    try:
+                        barrier.wait()
+                        found[slot] = digest(*case)
+                    except Exception as error:  # reported, not raised
+                        found[slot] = repr(error)
+
+                threads = [threading.Thread(target=run, args=(slot,))
+                           for slot in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert found == [expected[case]] * 8, case
+    finally:
+        sys.setswitchinterval(switch)
