@@ -25,11 +25,14 @@ the identity map: I_1() = 1.  On P^r, r >= 3, the reconstruction
 recursion (``_reconstruct``) expands a pair of equivalent boundary
 divisors by the splitting formula, where the unknown appears once with
 coefficient one.  The gate is checked at the entry only: in each split it
-fixes the one live degree and gluing class of each side, so the split loop
-resolves both sides' marks by arithmetic on that slot and probes the memo
-at most once per side.  The recursion runs on an explicit stack of
-generator frames (``_reconstructed``), so its depth is bounded by memory,
-not by the interpreter's recursion limit.
+fixes the one live degree and gluing class of each side, a slot that
+depends on the split only through its gate weight.  So the split loop
+reads each split's slot from a row per (r, d) (``_slot_row``), where a
+slot dead for every split is None, resolves both sides' marks by
+arithmetic on a live slot and probes the memo at most once per side.  The
+recursion runs on an explicit stack of generator frames
+(``_reconstructed``), so its depth is bounded by memory, not by the
+interpreter's recursion limit.
 
 Every target runs this path in one integer function (``_invariant``),
 which ends in the stripped entry (``_stripped``): the curve count or the
@@ -37,7 +40,8 @@ reconstruction of a stripped exponent tuple that meets the gate.  The
 potentials call that entry directly, on keys they build stripped and
 within the gate; ``Fraction`` appears only in the values the public
 functions return.  The memo is keyed by stripped keys, is write-once, and
-holds values independent of evaluation order, so concurrent use is safe.
+holds values independent of evaluation order, and each slot row is built
+whole before it is stored, so concurrent use is safe.
 
 A memo key is (r, width, d, packed) (``_key``): the exponent tuple packed
 into one int with exps[k] in the width-bit digit k, so each side key of a
@@ -63,12 +67,14 @@ from .targets import (Degree, ExponentVector, InvariantKey, P1xP1,
 
 _MemoKey = tuple[int, int, int, int]  # (r, width, d, packed), see _key
 _PR_CACHE: dict[_MemoKey, int] = {}
+_SLOTS: dict[tuple[int, int], list[tuple[int, int, int, int] | None]] = {}
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def clear_caches() -> None:
-    """Drop the memoized reconstruction values."""
+    """Drop the memoized reconstruction values and slot rows."""
     _PR_CACHE.clear()
+    _SLOTS.clear()
 
 
 def _vdim(target: TargetSpace, total: int, n: int) -> int:
@@ -282,6 +288,13 @@ def _reconstruct(key: _MemoKey):
     term *is* the unknown invariant; every other term only involves
     invariants of lower degree, lower minimal codimension or fewer marks.
 
+    The slot depends on S only through w, so each orientation (left or
+    right) runs over the split table in a pass of its own, with its
+    constants made once and its terms summed apart, and reads the split's
+    slot from the (r, d) row at index w + m (``_slot_row``).  A slot with
+    h^0 on a side of positive degree is None there, so such a term costs
+    one list index.
+
     The gate is met on each side, so its three marks resolve by arithmetic:
     in degree zero the side is one exactly when S (or S') is empty; in
     positive degree an h^0 mark gives zero, an h^1 mark a factor of the
@@ -294,44 +307,56 @@ def _reconstruct(key: _MemoKey):
     is the packed free multiset minus S, and a side key is S or S' plus
     1 << width * k per added mark h^k.  Those shifts are made where they
     are used: a table of all r + 1 of them would hold O(r^2 width) bits,
-    about 100 MB per frame on P^10000.
+    about 100 MB per frame on P^10000.  The split table grows class by
+    class from one list of options per free class, (shift, C(count, s),
+    (k - 1) s, s) for s = 0..count, so each binomial and shift is made once
+    per s, not once per split.
     """
     r, width, d, packed = key
     exps = _exponents(key)
     c, *_, b2, b1 = [i for i in range(2, r + 1) for _ in range(exps[i])]
     free = [a - (i == c) - (i == b1) - (i == b2) for i, a in enumerate(exps)]
     n_free = sum(free)
-    splits = [(0, 1, 0, 0)]  # (S packed, labeled mark subsets, w, |S|)
+    splits = None  # [(S packed, labeled mark subsets, w, |S|)] once set
     for k, count in enumerate(free):
         if count:
-            splits = [(sub + (s << width * k), ways * comb(count, s),
-                       w + (k - 1) * s, n + s)
-                      for sub, ways, w, n in splits
-                      for s in range(count + 1)]
-    whole_b2 = packed - (1 << width * c) - (1 << width * b1)  # S' + h^b2 + S
-    # (x, y, sign): A holds h^1.h^x, B holds h^y.h^b2, the left side counts -1
-    both = ((c - 1, b1, -1), (b1, c - 1, 1))
+            options = [(s << width * k, comb(count, s), (k - 1) * s, s)
+                       for s in range(count + 1)]
+            splits = options if splits is None else [
+                (sub + shift, ways * ways_s, w + w_s, n + s)
+                for sub, ways, w, n in splits
+                for shift, ways_s, w_s, s in options]
+    if splits is None:
+        splits = [(0, 1, 0, 0)]
+    slots = _SLOTS.get((r, d)) or _slot_row(r, d)
+    low = c == 2  # h^(c-1) is h^1: a factor of the side's degree, no mark
+    h_b1 = 1 << width * b1
+    h_c1 = 0 if low else 1 << width * (c - 1)
+    rest = packed - (1 << width * c)  # S + S' + h^b1 + h^b2
     memo = _PR_CACHE.get
     total = 0
-    for sub, ways, w, n in splits:
-        for x, y, sign in both if w else both[1:]:
-            da, j = divmod(w + x + 1, r + 1)
-            db = d - da
-            if db < 0:
+    # A holds h^1.h^x.S and B holds h^y.h^b2.S', with (x, y) = (c - 1, b1)
+    # on the left, which counts -1, and (b1, c - 1) on the right.  Per
+    # orientation: the slot offset x + 1, the A base h^x, whether h^x is a
+    # mark, the B base S + S' + h^y + h^b2 and its marks with S empty, and
+    # whether y = 1.
+    for offset, a_base, x_mark, b_base, b_marks, y_one, sign in (
+            (c, h_c1, not low, rest, n_free + 2, False, -1),
+            (b1 + 1, h_b1, True, rest - h_b1 + h_c1, n_free + 2 - low, low,
+             1)):
+        part = 0
+        for sub, ways, w, n in splits:
+            slot = slots[w + offset]
+            if slot is None:
                 continue
-            i = r - j
+            da, db, i, j = slot
             if not da:  # I_0(h^1.h^x.S.h^i)
-                if n:
+                if n or sign < 0:  # on the left, S empty is the unknown
                     continue
                 fa = 1
-            elif not i:  # h^0 in positive degree
-                continue
             else:  # the h^1 mark gives da
-                fa, marks, side = da, n, sub
-                if x > 1:
-                    side += 1 << width * x
-                    marks += 1
-                else:
+                fa, marks, side = da, n + x_mark, sub + a_base
+                if not x_mark:
                     fa *= da
                 if i > 1:
                     side += 1 << width * i
@@ -348,14 +373,9 @@ def _reconstruct(key: _MemoKey):
                 if n < n_free:
                     continue
                 fb = 1
-            elif not j:  # h^0 in positive degree
-                continue
             else:  # the h^b2 mark adds one
-                fb, marks, side = 1, n_free - n + 1, whole_b2 - sub
-                if y > 1:
-                    side += 1 << width * y
-                    marks += 1
-                else:
+                fb, marks, side = 1, b_marks - n, b_base - sub
+                if y_one:
                     fb = db
                 if j > 1:
                     side += 1 << width * j
@@ -366,8 +386,31 @@ def _reconstruct(key: _MemoKey):
                     side = (r, width, db, side)
                     value = memo(side)
                     fb *= (yield side) if value is None else value
-            total += sign * ways * fa * fb
+            part += ways * fa * fb
+        total += sign * part
     return total
+
+
+def _slot_row(r: int, d: int) -> list[tuple[int, int, int, int] | None]:
+    """The slots of one (r, d), indexed by w + x + 1 (see ``_reconstruct``).
+
+    Entry t holds (dA, dB, i, j) with (dA, j) = divmod(t, r + 1), dB = d - dA
+    and i = r - j, or None where the split is dead whatever its S: h^0 on a
+    side of positive degree (i = 0 < dA or j = 0 < dB).  The gate keeps t
+    below (r + 1)(d + 1), so dB is never negative.  The row is built whole
+    and stored by one assignment, so a concurrent frame reads a complete
+    row or none.  Every block of r + 1 entries reads its (i, j) from one
+    list, so a row on a wide target makes r + 1 ints, not (r + 1)(d + 1).
+    Its tuples remain: a query of degree d on a wide target builds the
+    rows of every degree up to d, about (r + 1) d^2 / 2 entries, so there
+    the rows, not the frames, set its memory (about 40 MB at degree 8 on
+    P^10000).
+    """
+    gluing = [(r - j, j) for j in range(r + 1)]
+    row = [None if da and j == r or not j and da < d else (da, d - da, i, j)
+           for da in range(d + 1) for i, j in gluing]
+    _SLOTS[r, d] = row
+    return row
 
 
 def collected_invariant(target: TargetSpace, exponents: ExponentVector) -> Fraction:

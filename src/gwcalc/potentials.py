@@ -630,6 +630,7 @@ def wdvv_residual_p1x1(order: int, nde: NdeSource | None = None
 
 
 _PHI_CACHE: dict[tuple, TruncatedSeries] = {}
+_EVERY_CLASS: dict[int, tuple[int, ...]] = {}
 
 
 def phi_ijk(target: TargetSpace, i: int, j: int, k: int,
@@ -642,15 +643,23 @@ def phi_ijk(target: TargetSpace, i: int, j: int, k: int,
     key = (target, tuple(sorted((i, j, k))), order)
     found = _PHI_CACHE.get(key)
     if found is None:
-        found = _PHI_CACHE[key] = _phi(target, key[1], order, None,
-                                       tuple(range(target.basis_size)))
+        # One kept tuple per basis size: a product on P^r makes r + 1 calls,
+        # and each table lookup then matches the stored key by identity, not
+        # by comparing r + 1 ints.
+        size = target.basis_size
+        keep = _EVERY_CLASS.get(size)
+        if keep is None:
+            keep = _EVERY_CLASS[size] = tuple(range(size))
+        found = _PHI_CACHE[key] = _phi(target, key[1], order, None, keep)
     return found
 
 
 def clear_caches() -> None:
-    """Drop the memoized structure-constant series and expansion tables."""
+    """Drop the memoized structure-constant series, expansion tables and
+    kept-class tuples."""
     _PHI_CACHE.clear()
     _TABLES.clear()
+    _EVERY_CLASS.clear()
 
 
 def wdvv_general_pr(r: int, i: int, j: int, k: int, l: int,

@@ -279,10 +279,24 @@ def stripped_admissible_pr(r, d):
     """Exponent vectors of P^r with classes of codimension >= 2 only that
     pass the gate in degree d >= 1: the marks' codimensions minus one add
     up to (r+1)d + r - 3."""
-    excess = (r + 1) * d + r - 3
-    for counts in product(range(excess + 1), repeat=r - 1):
-        if sum(c * a for c, a in enumerate(counts, 1)) == excess:
-            yield (0, 0) + counts
+    def counts(weight, excess):  # classes of gate weight weight..r-1
+        if weight == r:
+            if not excess:
+                yield ()
+            return
+        for a in range(excess // weight + 1):
+            for rest in counts(weight + 1, excess - a * weight):
+                yield (a,) + rest
+
+    for tail in counts(1, (r + 1) * d + r - 3):
+        yield (0, 0) + tail
+
+
+def pr_grid(*strata):
+    """Every stripped admissible key of P^r with three or more marks, for
+    each (r, highest degree) stratum, in rising degree."""
+    return [(r, d, exps) for r, top in strata for d in range(1, top + 1)
+            for exps in stripped_admissible_pr(r, d) if sum(exps) >= 3]
 
 
 def stripped_admissible_keys():
@@ -391,7 +405,8 @@ def reference_invariant(r, d, exps, memo):
     return mult * memo[(d, exps)]
 
 
-@pytest.mark.parametrize("r, top", [(3, 4), (3, 5), (4, 3), (4, 4), (5, 2)])
+@pytest.mark.parametrize("r, top", [(3, 4), (3, 5), (4, 3), (4, 4), (5, 2),
+                                    (6, 2), (9, 1)])
 def test_one_slot_per_split_matches_the_full_scan(r, top):
     # The engine solves each side's degree and gluing class from the gate
     # and resolves the sides' marks by arithmetic; the reference scans every
@@ -400,18 +415,17 @@ def test_one_slot_per_split_matches_the_full_scan(r, top):
     # every memo entry the engine wrote on the way, which must be a stripped
     # key: positive degree, no h^0 or h^1 class, at least three marks.
     # These sizes reach sides with an h^1 mark at c - 1 = 1 and gluing
-    # classes h^0 and h^1.
+    # classes h^0 and h^1.  On P^6 and P^9 the two sides' slot offsets c
+    # and b1 + 1 lie far apart, and w + b1 + 1 passes r + 1, so j wraps
+    # round to a low gluing class in a higher degree.
     gw_module.clear_caches()
     memo = {}
     checked = 0
     try:
-        for d in range(1, top + 1):
-            for base in stripped_admissible_pr(r, d):
-                if sum(base) >= 3:
-                    assert gw_module._reconstructed(
-                        gw_module._key(r, d, base)) == \
-                        reference_invariant(r, d, base, memo), (r, d, base)
-                    checked += 1
+        for _, d, base in pr_grid((r, top)):
+            assert gw_module._reconstructed(gw_module._key(r, d, base)) == \
+                reference_invariant(r, d, base, memo), (r, d, base)
+            checked += 1
         for key, value in gw_module._PR_CACHE.items():
             rr, _, d, _ = key
             exps = gw_module._exponents(key)
@@ -454,6 +468,68 @@ def test_queries_past_255_marks_share_one_key_space():
                 == digest, d
             assert len(gw_module._PR_CACHE) == entries, d
     finally:
+        gw_module.clear_caches()
+
+
+def test_the_memo_is_pinned_key_for_key():
+    # sha256 of the sorted (key, value) items of the memo, after one cold
+    # pass over every stripped admissible key of P^3 to degree 6, P^4 to
+    # degree 5 and P^5 to degree 4.  The digest was taken from the loop
+    # that solved each split's slot term by term; reading the slots from a
+    # table must write the same keys and the same values.
+    gw_module.clear_caches()
+    try:
+        for r, d, exps in pr_grid((3, 6), (4, 5), (5, 4)):
+            gw_module._stripped(ProjectiveSpace(r), d, exps)
+        items = sorted(gw_module._PR_CACHE.items())
+    finally:
+        gw_module.clear_caches()
+    assert len(items) == 592
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == (
+        "62e950ba2b8b062bee417509c3eb03229b2781065fb01761abd758d1ed1a7553")
+
+
+def test_threads_sharing_the_memo_read_the_same_invariants():
+    # Eight threads query one grid of P^4 and P^5 keys on one cleared memo
+    # and its slot rows, started together behind a barrier with a tiny
+    # switch interval so that their frames interleave; each thread's digest
+    # of the values, and the memo they leave, must equal a single thread's.
+    import threading
+    grid = [InvariantKey(ProjectiveSpace(r), d, exps)
+            for r, d, exps in pr_grid((4, 3), (5, 2))]
+
+    def digest():
+        return hashlib.sha256(repr([gw_invariant(k) for k in grid])
+                              .encode()).hexdigest()
+
+    gw_module.clear_caches()
+    expected, memo = digest(), dict(gw_module._PR_CACHE)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            gw_module.clear_caches()
+            barrier = threading.Barrier(8, timeout=60)
+            found = [None] * 8
+
+            def run(slot):
+                try:
+                    barrier.wait()
+                    found[slot] = digest()
+                except Exception as error:  # reported, not raised
+                    found[slot] = repr(error)
+
+            threads = [threading.Thread(target=run, args=(slot,))
+                       for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert found == [expected] * 8
+            assert gw_module._PR_CACHE == memo
+    finally:
+        sys.setswitchinterval(switch)
         gw_module.clear_caches()
 
 
