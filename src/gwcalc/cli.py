@@ -108,13 +108,13 @@ def _parse_classes(target: TargetSpace, text: str) -> ExponentVector:
         chunk = chunk.strip()
         if not chunk:
             continue
-        name, _, count = chunk.partition(":")
+        name, colon, count = chunk.partition(":")
         try:
             idx = parse_basis_class(target, name)
         except ValueError as exc:
             raise UsageError(str(exc))
         try:
-            repeat = int(count) if count else 1
+            repeat = int(count) if colon else 1
         except ValueError:
             raise UsageError(f"bad class count in {chunk!r}")
         if repeat < 0:
@@ -160,14 +160,20 @@ def _load_cache(path: str) -> None:
             if not line:
                 continue
             key, _, value = line.partition("\t")
+            # Malformed lines are ignored rather than fail a run, and so are
+            # the keys the tables never read: N_d below d = 2 and N_(d,e)
+            # with a side below 1, which the recursions give themselves.
             try:
                 if key.startswith("nd:"):
-                    nd[int(key[3:])] = int(value)
+                    d = int(key[3:])
+                    if d >= 2:
+                        nd[d] = int(value)
                 elif key.startswith("nde:"):
-                    d, e = key[4:].split(",")
-                    nde[(int(d), int(e))] = int(value)
+                    d, e = map(int, key[4:].split(","))
+                    if min(d, e) >= 1:
+                        nde[(d, e)] = int(value)
             except ValueError:
-                continue  # ignore malformed lines rather than fail a run
+                continue
     surfaces.seed_caches(nd, nde)
 
 

@@ -27,18 +27,20 @@ through exp(<beta, x>), the q = e^t substitution (Kontsevich-Manin 1994,
 section 2).  So the builder lists graded terms, one int numerator per
 (pairing of beta, tail t over the other kept classes), over |t|!, the
 factorial of the tail's own degree as in an EGF coefficient, I_0 at key 0,
-and one expansion turns them into a series.  A table of one (target,
-order, kept classes) is whole once built, its curve classes listed up to
-the largest total degree the order reaches; only its per-key memos (the
-rows of exp(<beta, x>) and the invariants' lists, which every default
-count reads) fill on use, each entry a function of its own key alone, so
-threads that share a table read the same values.  The builder reads the
-target from the table and works per listed term: it strips the index
-classes once per structure constant, so a curve class's multiplier is a
-product of its pairings; per total degree it lists the tails the gate
-admits once, from the free vectors the table keeps bucketed by gate
-weight; and it reads each invariant by its stripped key
-(``gw._stripped``), since the key is built within the gate.  The residual
+and one expansion turns them into a series.  The table of one (target,
+order, kept classes) and count source is the engine's one cache, shared
+when it reads the invariants and built per call for another count.  It
+is whole once built, its curve classes listed up to the largest total
+degree the order reaches; only its per-key memos (the rows of
+exp(<beta, x>), the graded lists and the expanded series) fill on use,
+each entry a function of its own key alone, so threads that share a
+table read the same values.  The builder reads the target and count from
+the table and works per listed term: it strips the index classes once
+per structure constant, so a curve class's multiplier is a product of
+its pairings; per total degree it lists the tails the gate admits once,
+from the free vectors the table keeps bucketed by gate weight; and the
+invariants are read by their stripped key (``gw._stripped``), since the
+key is built within the gate.  The residual
 multiplies the same lists, where exp(<beta, x>) exp(<beta', x>) =
 exp(<beta + beta', x>) makes their keys add and a binomial keeps the
 product over the factorial of its degree, so its ints stay the size of
@@ -218,11 +220,12 @@ def _check_listing(target: TargetSpace, order: int, keep: tuple[int, ...]
 
 
 class _Expansion:
-    """What ``_terms`` and ``_expand`` need of one (target, order, keep),
-    whatever the index triple, so the structure constants of one WDVV
-    residual or one big product share it.  It is complete once built:
-    only ``rows`` and ``invariant_lists`` fill on use, per key, each entry
-    a function of its key alone.
+    """What ``_terms`` and ``_expand`` need of one (target, order, keep)
+    and one count source, whatever the index triple, so the structure
+    constants of one WDVV residual or one big product share it; keep None
+    keeps every class.  It is complete once built: only ``rows``,
+    ``lists`` and ``phis`` fill on use, per key, each entry a function of
+    its key alone.
 
     The kept classes split into the divisors (gate weight codim - 1 = 0,
     one per generator at indices 1, 2, ...) and the placed classes (weight
@@ -236,6 +239,8 @@ class _Expansion:
     at ``place``), built as sums of the variables' keys:
 
     * ``target``: the target, for the builder and the invariants;
+    * ``count``: I_beta of a stripped exponent tuple that meets the gate,
+      ``gw._stripped`` of the target unless another count is given;
     * ``heads``: the key of every head of degree <= order in rising
       degree, ``sizes[d]`` the number of heads of degree <= d,
       ``head_scale`` their H / u!, and ``columns`` their exponents, one
@@ -256,18 +261,20 @@ class _Expansion:
     * ``rows``: per packed pairing tuple, the nonzero terms (head key,
       <beta, x>^u / u! times H) of exp(<beta, x>) up to the longest
       degree asked for so far, with their count of heads;
-    * ``invariant_lists``: per index exponent vector, the ``_listed``
-      structure constant of the invariants themselves, for the next
-      structure constant, residual or big product that asks.
+    * ``lists``: per index exponent vector, the ``_listed`` structure
+      constant, for the next structure constant, residual or big product
+      that asks;
+    * ``phis``: per sorted index tuple, the series ``_phi`` expands.
     """
 
     __slots__ = ("target", "nvars", "order", "weight", "placed", "top",
                  "bound", "place", "head_den", "heads", "sizes", "head_scale",
                  "columns", "buckets", "top_key", "tail_scale", "pair_radix",
-                 "classes", "rows", "invariant_lists")
+                 "classes", "count", "rows", "lists", "phis")
 
     def __init__(self, target: TargetSpace, order: int,
-                 keep: tuple[int, ...]):
+                 keep: tuple[int, ...] | None, count: Count | None = None):
+        keep = tuple(range(target.basis_size)) if keep is None else keep
         weight, divisors, placed, top, most = _check_listing(
             target, order, keep)
         self.target, self.nvars, self.order = target, len(keep), order
@@ -315,9 +322,10 @@ class _Expansion:
              for beta in target.degrees(total)
              for pairing in (target.pairings(beta),)]
             for total in range(most + 1)]
+        self.count = count or partial(_stripped, target)
         self.rows: dict[int, list[tuple[int, int]]] = {}
-        self.invariant_lists: dict[ExponentVector,
-                                   list[tuple[int, int, int]]] = {}
+        self.lists: dict[ExponentVector, list[tuple[int, int, int]]] = {}
+        self.phis: dict[tuple[int, ...], TruncatedSeries] = {}
 
     def row(self, pairing: int, degree: int) -> list[tuple[int, int]]:
         """The terms of exp(<beta, x>) up to at least ``degree`` for one
@@ -340,13 +348,19 @@ class _Expansion:
 _TABLES: dict[tuple, _Expansion] = {}
 
 
-def _expansion(target: TargetSpace, order: int,
-               keep: tuple[int, ...]) -> _Expansion:
-    """The shared table of (target, order, keep), built on first use."""
-    table = _TABLES.get((target, order, keep))
-    if table is None:
-        table = _TABLES[target, order, keep] = _Expansion(target, order, keep)
-    return table
+def _expansion(target: TargetSpace, order: int, keep: tuple[int, ...] | None,
+               count: Count | None = None) -> _Expansion:
+    """The table of (target, order, keep) that reads ``count``: for the
+    invariants (None) the one in ``_TABLES``, built on first use and keyed
+    with keep None when every class is kept; for another count a fresh
+    table, never stored."""
+    if count is not None:
+        return _Expansion(target, order, keep, count)
+    if keep is not None and len(keep) == target.basis_size:
+        keep = None
+    key = (target, order, keep)
+    return _TABLES.get(key) or _TABLES.setdefault(
+        key, _Expansion(target, order, keep))
 
 
 def _dot(columns: list[tuple[int, ...]], coefs: list[int],
@@ -367,13 +381,12 @@ def _scaled(dens: list[int], columns: list[tuple[int, ...]],
     return out
 
 
-def _terms(table: _Expansion, idx_exps: ExponentVector, count: Count
-           ) -> dict[int, int]:
+def _terms(table: _Expansion, idx_exps: ExponentVector) -> dict[int, int]:
     """The graded terms of the curve-class part along the index classes
     ``idx_exps`` (no fundamental class among them) on the table's target:
     one int numerator per (pairing, tail) key, over the factorial of the
-    tail's degree.  ``count`` gives I_beta for stripped exponents that
-    meet the gate.
+    tail's degree.  The table's count gives I_beta for stripped exponents
+    that meet the gate.
 
     The term num at key pairing * bound + key(t) stands for
     num / |t|! * x^t * exp(<beta, x>) over the kept divisors, and its sum
@@ -391,6 +404,7 @@ def _terms(table: _Expansion, idx_exps: ExponentVector, count: Count
     pairings digit by digit."""
     target, top, order = table.target, table.top, table.order
     buckets, placed, top_key = table.buckets, table.placed, table.top_key
+    count = table.count
     strip = len(target.params) + 1  # h^0 and the divisors
     base = (0,) * strip + idx_exps[strip:]
     divisors = [(i, a) for i, a in enumerate(idx_exps[1:strip]) if a]
@@ -468,49 +482,52 @@ def _expand(table: _Expansion, terms: dict[int, int]) -> TruncatedSeries:
         {k: n for k, n in acc.items() if n})
 
 
-def _listed(table: _Expansion, exps: ExponentVector, count: Count | None,
-            listed: dict[ExponentVector, list]) -> list[tuple[int, int, int]]:
+def _listed(table: _Expansion, exps: ExponentVector
+            ) -> list[tuple[int, int, int]]:
     """Phi along the index exponents ``exps`` as (tail degree, key, num)
     graded terms in rising tail degree, I_0(exps) at key 0, on the table's
-    target.  ``count`` is that of ``_terms``, or None for the invariants
-    (``gw._stripped``, every default count), whose lists the table keeps;
-    other lists go into ``listed``, one per exponent vector."""
-    if count is None:
-        listed = table.invariant_lists
-    found = listed.get(exps)
+    target with the table's count, kept in the table's ``lists``."""
+    found = table.lists.get(exps)
     if found is None:
-        target = table.target
-        graded = {} if exps[0] else _terms(  # h^0 kills every curve class
-            table, exps, count or partial(_stripped, target))
-        if constant := _degree_zero(target, exps):
+        # h^0 kills every curve class.
+        graded = {} if exps[0] else _terms(table, exps)
+        if constant := _degree_zero(table.target, exps):
             graded[0] = graded.get(0, 0) + constant
-        found = listed[exps] = sorted(
+        found = table.lists[exps] = sorted(
             (key % table.bound // table.place, key, num)
             for key, num in graded.items())
     return found
 
 
 def _phi(target: TargetSpace, idx: tuple[int, ...], order: int,
-         count: Count | None, keep: tuple[int, ...]) -> TruncatedSeries:
+         count: Count | None, keep: tuple[int, ...] | None
+         ) -> TruncatedSeries:
     """Phi along ``idx``: a series in the variables dual to the sorted
-    basis indices ``keep``, the others set to zero, whose coefficient of
-    x^a / a! is the sum over every beta of I_beta(h^a . h^idx), ``count``
-    giving beta != 0 (see ``_listed``).  It is ``_expand`` of ``_listed``
-    over the shared ``_Expansion`` of (target, order, keep); an index 0
-    (the fundamental class) leaves the constant I_0 and builds no table."""
+    basis indices ``keep`` (None for every class), the others set to zero,
+    whose coefficient of x^a / a! is the sum over every beta of
+    I_beta(h^a . h^idx), ``count`` giving beta != 0 (None for the
+    invariants).  It is ``_expand`` of ``_listed`` over the ``_expansion``
+    of (target, order, keep, count), kept in the table's ``phis`` under
+    the sorted indices; an index 0 (the fundamental class) leaves the
+    constant I_0 and builds no table."""
     exps = exponents_from_classes(target, idx)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if exps[0]:
-        return TruncatedSeries.constant(len(keep), order,
-                                        _degree_zero(target, exps))
-    table = _expansion(target, order, keep)
-    return _expand(table, {key: num for _, key, num in _listed(
-        table, exps, count, {})})
+        return TruncatedSeries.constant(
+            target.basis_size if keep is None else len(keep), order,
+            _degree_zero(target, exps))
+    table = _expansion(target, order, keep, count)
+    idx = tuple(sorted(idx))
+    found = table.phis.get(idx)
+    if found is None:
+        found = table.phis[idx] = _expand(
+            table, {key: num for _, key, num in _listed(table, exps)})
+    return found
 
 
 def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
-                   keep: tuple[int, ...],
+                   keep: tuple[int, ...] | None,
                    i: int, j: int, k: int, l: int) -> TruncatedSeries:
     """sum_e Phi_ij,e Phi_(m-1-e),kl - Phi_jk,e Phi_i,(m-1-e),l over the
     kept classes, with the counts and kept classes of ``_phi``.
@@ -526,10 +543,8 @@ def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     m = target.basis_size
-    table = _expansion(target, order, keep)
-    listed: dict[ExponentVector, list] = {}
-    g = lambda *ijk: _listed(table, exponents_from_classes(target, ijk),
-                             count, listed)
+    table = _expansion(target, order, keep, count)
+    g = lambda *ijk: _listed(table, exponents_from_classes(target, ijk))
     acc: dict[int, int] = {}
     get = acc.get
     for e in range(m):
@@ -563,7 +578,7 @@ def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
 
 def _nd_count(nd: NdSource | None) -> Count | None:
     """N_d from ``nd``, whatever the point exponents; None for the default
-    counts, which the table reads as invariants (``_listed``)."""
+    counts, which the shared tables read as invariants (``_expansion``)."""
     return None if nd is None else lambda d, exps: nd(d)
 
 
@@ -629,37 +644,21 @@ def wdvv_residual_p1x1(order: int, nde: NdeSource | None = None
                           1, 2, 3, 3)
 
 
-_PHI_CACHE: dict[tuple, TruncatedSeries] = {}
-_EVERY_CLASS: dict[int, tuple[int, ...]] = {}
-
-
 def phi_ijk(target: TargetSpace, i: int, j: int, k: int,
             order: int) -> TruncatedSeries:
     """Structure constant Phi_ijk as a multivariate series.
 
     The coefficient of x^a / a! is the collected invariant
     I(h^a . h^i . h^j . h^k), so no derivative-induced order loss occurs.
+    The series is kept in the ``phis`` of the shared table of (target,
+    order), every class kept, so a repeated call returns the same object.
     """
-    key = (target, tuple(sorted((i, j, k))), order)
-    found = _PHI_CACHE.get(key)
-    if found is None:
-        # One kept tuple per basis size: a product on P^r makes r + 1 calls,
-        # and each table lookup then matches the stored key by identity, not
-        # by comparing r + 1 ints.
-        size = target.basis_size
-        keep = _EVERY_CLASS.get(size)
-        if keep is None:
-            keep = _EVERY_CLASS[size] = tuple(range(size))
-        found = _PHI_CACHE[key] = _phi(target, key[1], order, None, keep)
-    return found
+    return _phi(target, (i, j, k), order, None, None)
 
 
 def clear_caches() -> None:
-    """Drop the memoized structure-constant series, expansion tables and
-    kept-class tuples."""
-    _PHI_CACHE.clear()
+    """Drop the expansion tables, and with them every memo they keep."""
     _TABLES.clear()
-    _EVERY_CLASS.clear()
 
 
 def wdvv_general_pr(r: int, i: int, j: int, k: int, l: int,
@@ -671,6 +670,4 @@ def wdvv_general_pr(r: int, i: int, j: int, k: int, l: int,
     """
     if not 2 <= r <= 3:
         raise ValueError(f"supported range is 2 <= r <= 3, got r={r}")
-    target = ProjectiveSpace(r)
-    return _wdvv_residual(target, order, None, tuple(range(r + 1)),
-                          i, j, k, l)
+    return _wdvv_residual(ProjectiveSpace(r), order, None, None, i, j, k, l)

@@ -86,6 +86,16 @@ def test_gw_malformed_classes_exit_2():
                    "--classes", "h2:2").returncode == 2
 
 
+def test_gw_empty_class_count_exits_2():
+    # ``h2:`` names no count; a bare ``h2`` is one class.
+    result = run_cli("gw", "--target", "p2", "--degree", "1",
+                     "--classes", "h2:")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.splitlines() == ["error: bad class count in 'h2:'"]
+    assert run_cli("gw", "--target", "p2", "--degree", "1",
+                   "--classes", "h2,h2").stdout == "1\n"
+
+
 def test_qmul_small():
     result = run_cli("qmul", "--target", "p2", "--small", "h1", "h2")
     assert result.stdout.strip() == "q·h0"
@@ -343,6 +353,16 @@ def test_cache_round_trip(tmp_path):
     # a second run reads the cache and reproduces the value
     result = run_cli("nd", "--d", "6", env_extra={"GW_CACHE": str(cache)})
     assert result.stdout.strip() == "26312976"
+
+
+def test_cache_drops_the_keys_no_table_reads(tmp_path):
+    # N_d below d = 2 and N_(d,e) with a zero side come from the recursions
+    # themselves, so such lines are dropped on load and not written back.
+    cache = tmp_path / "cache.txt"
+    cache.write_text("nd:-2\t5\nnd:0\t7\nnde:0,0\t3\nnd:3\t12\n")
+    result = run_cli("nd", "--d", "4", env_extra={"GW_CACHE": str(cache)})
+    assert (result.returncode, result.stdout) == (0, "620\n")
+    assert cache.read_text() == "nd:2\t1\nnd:3\t12\nnd:4\t620\n"
 
 
 @pytest.fixture

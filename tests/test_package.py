@@ -2,6 +2,7 @@
 command-line call imports."""
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from gwcalc.targets import P1XP1, InvariantKey, P1xP1, ProjectiveSpace
 
 # The child processes import the same gwcalc as these tests, installed or not.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(gwcalc.__file__))
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SUBMODULES = ["exact", "gw", "partitions", "potentials", "rings", "series",
               "surfaces", "targets"]
@@ -186,3 +188,17 @@ def test_exact_loads_fractions_on_first_use_of_rational():
     assert resolved == "True fractions True"
     with pytest.raises(AttributeError, match="no attribute 'Decimal'"):
         gwcalc.exact.Decimal
+
+
+def test_the_test_extra_pins_what_ci_installs():
+    # ``pip install -e .[test]`` gives the versions the tier-1 workflow
+    # installs and tests with: the same pins, every one exact.
+    def read(*path):
+        with open(os.path.join(REPO_ROOT, *path), encoding="utf-8") as handle:
+            return handle.read()
+    extra = re.search(r"^test = \[(.*)\]$", read("pyproject.toml"), re.M)
+    install = re.search(r"pip install (.*)$",
+                        read(".github", "workflows", "tier1.yml"), re.M)
+    pins = sorted(re.findall(r'"([^"]+)"', extra.group(1)))
+    assert pins and all(re.fullmatch(r"[\w.-]+==[\w.]+", pin) for pin in pins)
+    assert sorted(install.group(1).split()) == pins

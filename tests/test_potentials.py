@@ -258,6 +258,37 @@ def test_clear_caches_leaves_no_table_behind():
         dict.fromkeys(tables, 0)
 
 
+def test_a_custom_count_builds_a_table_it_does_not_keep():
+    # A caller's own count source gets a table of its own: the shared
+    # tables, which read the invariants, are left as they were.
+    from gwcalc import potentials
+    potentials.clear_caches()
+    cold = wdvv_residual_p2(40), gamma_p1x1(1, 2, 3, 8)
+    potentials.clear_caches()
+    wdvv_residual_p2(12)
+    before = dict(potentials._TABLES)
+    assert wdvv_residual_p2(40, nd=n_d).is_zero()
+    assert gamma_p1x1(1, 2, 3, 8, nde=n_de) == cold[1]
+    assert potentials._TABLES == before
+    assert (wdvv_residual_p2(40), gamma_p1x1(1, 2, 3, 8)) == cold
+
+
+def test_every_class_kept_shares_one_table():
+    # phi_ijk, big_qmul and wdvv_general_pr on one target and order read
+    # one table, keyed with kept classes None; a repeated structure
+    # constant is the object the table kept.
+    from gwcalc import potentials
+    from gwcalc.rings import BigQuantumElement, big_qmul
+    potentials.clear_caches()
+    h1 = BigQuantumElement.basis(P3, 1, 3)
+    big_qmul(h1, h1)
+    wdvv_general_pr(3, 1, 1, 2, 3, 3)
+    phi = phi_ijk(P3, 3, 1, 2, 3)
+    assert list(potentials._TABLES) == [(P3, 3, None)]
+    assert phi_ijk(P3, 1, 2, 3, 3) is phi
+    assert potentials._TABLES[P3, 3, None].phis[1, 2, 3] is phi
+
+
 @pytest.mark.parametrize("target, order, keep", [
     (ProjectiveSpace(1), 5279, None), (ProjectiveSpace(2), 599, None),
     (ProjectiveSpace(2), 7466, (2,)), (P1XP1, 106, None),
