@@ -29,10 +29,10 @@ fixes the one live degree and gluing class of each side, a slot that
 depends on the split only through its gate weight.  So the split loop
 reads each split's slot from a row per (r, d) (``_slot_row``), where a
 slot dead for every split is None, resolves both sides' marks by
-arithmetic on a live slot and probes the memo at most once per side.  The
-recursion runs on an explicit stack of generator frames
-(``_reconstructed``), so its depth is bounded by memory, not by the
-interpreter's recursion limit.
+arithmetic on a live slot and probes the memo once per live side of
+positive degree.  The recursion runs on an explicit stack of generator
+frames (``_reconstructed``), so its depth is bounded by memory, not by
+the interpreter's recursion limit.
 
 Every target runs this path in one integer function (``_invariant``),
 which ends in the stripped entry (``_stripped``): the curve count or the
@@ -40,16 +40,18 @@ reconstruction of a stripped exponent tuple that meets the gate.  The
 potentials call that entry directly, on keys they build stripped and
 within the gate; ``Fraction`` appears only in the values the public
 functions return.  The memo is keyed by stripped keys, is write-once, and
-holds values independent of evaluation order, and each slot row is built
-whole before it is stored, so concurrent use is safe.
+holds values independent of evaluation order; each memo and each slot row
+is built whole before it is stored, so concurrent use is safe.
 
-A memo key is (r, width, d, packed) (``_key``): the exponent tuple packed
-into one int with exps[k] in the width-bit digit k, so each side key of a
-split is one int addition away from the split's own packed multiset.  The
-width is 16 bits, or the bit length of the mark count n when that is
-wider; no side key has more marks than the key it splits, so every key
-below a query fits the query's width and every query with n < 65,536
-shares one key space.
+The memo is one dict per (r, width), keyed by one int (``_key``) with
+the degree in the width-bit digit 0, which a stripped tuple leaves empty,
+and exps[k] in digit k, so each side key of a split is one int addition
+away from the split's own packed multiset.  The width is 16 bits, or the
+bit length of the mark count n when that is wider; the gate gives d < n,
+and no side key has more marks than the key it splits, so every key below
+a query fits the query's width and every query with n < 65,536 shares
+one key space.  Each memo is created holding I_1(h^r.h^r) = 1, the one
+stripped key the gate leaves below three marks, so no mark is counted.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ from .targets import (Degree, ExponentVector, InvariantKey, P1xP1,
                       ProjectiveSpace, TargetSpace, _checked_exponents,
                       total_codim, validate_degree)
 
-_MemoKey = tuple[int, int, int, int]  # (r, width, d, packed), see _key
-_PR_CACHE: dict[_MemoKey, int] = {}
+_MemoKey = tuple[int, int, int]  # (r, width, packed), see _key
+_PR_CACHE: dict[tuple[int, int], dict[int, int]] = {}  # per (r, width)
 _SLOTS: dict[tuple[int, int], list[tuple[int, int, int, int] | None]] = {}
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -201,36 +203,33 @@ def _stripped(target: TargetSpace, degree: Degree, exps: ExponentVector
     """The invariant of a positive degree and a stripped exponent tuple (no
     fundamental or divisor class) that meets the gate: the curve count or
     the reconstruction."""
-    # The gate leaves exactly 2(d+e) - 1 point classes on P1 x P1 and
-    # 3d - 1 on P^2.
+    # The gate leaves exactly 2(d+e) - 1 point classes on P1 x P1, 3d - 1
+    # on P^2 and no class on P^1, in degree one: the identity map.
     if isinstance(target, P1xP1):
         return n_de(*degree)
-    if target.r == 2:
-        return n_d(degree)
-    if sum(exps) < 3:  # a line through two points
-        return 1
-    key = _key(target.r, degree, exps)
-    value = _PR_CACHE.get(key)
-    return _reconstructed(key) if value is None else value
+    if target.r < 3:
+        return n_d(degree) if target.r == 2 else 1
+    return _reconstructed(_key(target.r, degree, exps))
 
 
 def _key(r: int, d: int, exps: ExponentVector) -> _MemoKey:
-    """The memo key (r, width, d, packed) of a stripped exponent tuple.
-
-    ``packed`` holds exps[k] in the width-bit digit k.  No digit exceeds
-    the mark count n, and no side key has more marks than the key it
-    splits, so the width max(16, n.bit_length()) set here holds every key
-    below this one without a carry between digits.
+    """The memo key (r, width, packed) of a stripped exponent tuple of P^r
+    in degree d, ``packed`` its key in the memo of (r, width): d in the
+    width-bit digit 0 and exps[k] in digit k.  No digit exceeds the mark
+    count n (the gate gives d < n), and no side key has more marks than
+    the key it splits, so the width max(16, n.bit_length()) set here holds
+    every key below this one without a carry between digits.
     """
-    width = max(16, sum(exps).bit_length())
-    return r, width, d, sum(a << (width * k) for k, a in enumerate(exps) if a)
+    n = sum(exps)
+    width = n.bit_length() if n >> 16 else 16
+    return r, width, d + sum(a << width * k for k, a in enumerate(exps) if a)
 
 
 def _exponents(key: _MemoKey) -> ExponentVector:
-    """The exponent tuple of a memo key, undoing ``_key``, in time linear
-    in the key's bits: the packed int becomes bytes once, and each digit
-    is read from its own few bytes."""
-    r, width, _, packed = key
+    """The digits 0..r of a memo key, undoing ``_key``: the degree, then
+    exps[1:].  Time linear in the key's bits: the packed int becomes bytes
+    once, and each digit is read from its own few bytes."""
+    r, width, packed = key
     data = packed.to_bytes((width * (r + 1) + 7) >> 3, "little")
     if width == 16:  # every query under 65,536 marks
         digits = array("H", data)
@@ -244,26 +243,32 @@ def _exponents(key: _MemoKey) -> ExponentVector:
 
 
 def _reconstructed(key: _MemoKey) -> int:
-    """The invariant of a stripped memo key (``_key``) with at least three
-    marks.  A frame holds a key and its ``_reconstruct`` generator; a side
-    key the generator yields gets a frame of its own, and a finished frame
-    writes its value to the memo and sends it to the frame below."""
-    stack = [(key, _reconstruct(key))]
-    value = None
+    """The invariant of a memo key (``_key``), read from its memo or
+    reconstructed.  A frame holds a packed key and its ``_reconstruct``
+    generator; a side key the generator yields gets a frame of its own,
+    and a finished frame writes its value to the memo and sends it to the
+    frame below."""
+    r, width, packed = key
+    memo = _PR_CACHE.get((r, width)) or _PR_CACHE.setdefault(
+        (r, width), {1 + (2 << width * r): 1})  # I_1(h^r.h^r)
+    value = memo.get(packed)
+    if value is not None:
+        return value
+    stack = [(packed, _reconstruct(memo, r, width, packed))]
     while stack:
-        key, frame = stack[-1]
+        packed, frame = stack[-1]
         try:
             child = frame.send(value)
         except StopIteration as done:
             stack.pop()
-            _PR_CACHE[key] = value = done.value
+            memo[packed] = value = done.value
         else:
-            stack.append((child, _reconstruct(child)))
+            stack.append((child, _reconstruct(memo, r, width, child)))
             value = None
     return value
 
 
-def _reconstruct(key: _MemoKey):
+def _reconstruct(memo: dict[int, int], r: int, width: int, packed: int):
     """Isolate I_d(exps) from the boundary-divisor balance equation: a
     generator that yields each side key the memo lacks and is sent its value.
 
@@ -295,97 +300,90 @@ def _reconstruct(key: _MemoKey):
     h^0 on a side of positive degree is None there, so such a term costs
     one list index.
 
-    The gate is met on each side, so its three marks resolve by arithmetic:
-    in degree zero the side is one exactly when S (or S') is empty; in
+    The gate is met on each side, so its marks resolve by arithmetic: in
+    degree zero the side is one exactly when S (or S') is empty; in
     positive degree an h^0 mark gives zero, an h^1 mark a factor of the
-    side's degree, and any other mark adds one to an exponent.  A side left
-    with fewer than three marks is a line through two points, value one;
-    any other side is read from the memo, or yielded when the memo lacks it.
+    side's degree, and any other mark adds one to an exponent.  The side
+    key is then read from the memo, or yielded when the memo lacks it.  A
+    side left with fewer than three marks is I_1(h^r.h^r), which every
+    memo holds from its creation, so no mark is counted.
 
     The frame unpacks its own key once.  After that every multiset is one
     packed int in the key's width (``_key``): the split table holds S, S'
     is the packed free multiset minus S, and a side key is S or S' plus
-    1 << width * k per added mark h^k.  Those shifts are made where they
-    are used: a table of all r + 1 of them would hold O(r^2 width) bits,
-    about 100 MB per frame on P^10000.  The split table grows class by
-    class from one list of options per free class, (shift, C(count, s),
-    (k - 1) s, s) for s = 0..count, so each binomial and shift is made once
-    per s, not once per split.
+    its degree and 1 << width * k per added mark h^k.  Those shifts are
+    made where they are used: a table of all r + 1 of them would hold
+    O(r^2 width) bits, about 100 MB per frame on P^10000.  The split table
+    grows class by class from one list of options per free class,
+    (shift, C(count, s), (k - 1) s) for s = 0..count, so each binomial and
+    shift is made once per s, not once per split.
     """
-    r, width, d, packed = key
-    exps = _exponents(key)
-    c, *_, b2, b1 = [i for i in range(2, r + 1) for _ in range(exps[i])]
-    free = [a - (i == c) - (i == b1) - (i == b2) for i, a in enumerate(exps)]
-    n_free = sum(free)
-    splits = None  # [(S packed, labeled mark subsets, w, |S|)] once set
-    for k, count in enumerate(free):
+    d, _, *exps = _exponents((r, width, packed))
+    c, *_, b2, b1 = [i for i, a in enumerate(exps, 2) for _ in range(a)]
+    free = [a - (i == c) - (i == b1) - (i == b2)
+            for i, a in enumerate(exps, 2)]
+    splits = None  # [(S packed, labeled mark subsets, w)] once set
+    for k, count in enumerate(free, 2):
         if count:
-            options = [(s << width * k, comb(count, s), (k - 1) * s, s)
+            options = [(s << width * k, comb(count, s), (k - 1) * s)
                        for s in range(count + 1)]
             splits = options if splits is None else [
-                (sub + shift, ways * ways_s, w + w_s, n + s)
-                for sub, ways, w, n in splits
-                for shift, ways_s, w_s, s in options]
+                (sub + shift, ways * ways_s, w + w_s)
+                for sub, ways, w in splits
+                for shift, ways_s, w_s in options]
     if splits is None:
-        splits = [(0, 1, 0, 0)]
+        splits = [(0, 1, 0)]
     slots = _SLOTS.get((r, d)) or _slot_row(r, d)
     low = c == 2  # h^(c-1) is h^1: a factor of the side's degree, no mark
     h_b1 = 1 << width * b1
     h_c1 = 0 if low else 1 << width * (c - 1)
-    rest = packed - (1 << width * c)  # S + S' + h^b1 + h^b2
-    memo = _PR_CACHE.get
+    rest = packed - d - (1 << width * c)  # S + S' + h^b1 + h^b2
+    every = rest - h_b1 - (1 << width * b2)  # S + S'
+    get = memo.get
     total = 0
     # A holds h^1.h^x.S and B holds h^y.h^b2.S', with (x, y) = (c - 1, b1)
     # on the left, which counts -1, and (b1, c - 1) on the right.  Per
     # orientation: the slot offset x + 1, the A base h^x, whether h^x is a
-    # mark, the B base S + S' + h^y + h^b2 and its marks with S empty, and
-    # whether y = 1.
-    for offset, a_base, x_mark, b_base, b_marks, y_one, sign in (
-            (c, h_c1, not low, rest, n_free + 2, False, -1),
-            (b1 + 1, h_b1, True, rest - h_b1 + h_c1, n_free + 2 - low, low,
-             1)):
+    # mark, the B base S + S' + h^y + h^b2, and whether y = 1.
+    for offset, a_base, x_mark, b_base, y_one, sign in (
+            (c, h_c1, not low, rest, False, -1),
+            (b1 + 1, h_b1, True, rest - h_b1 + h_c1, low, 1)):
         part = 0
-        for sub, ways, w, n in splits:
+        for sub, ways, w in splits:
             slot = slots[w + offset]
             if slot is None:
                 continue
             da, db, i, j = slot
             if not da:  # I_0(h^1.h^x.S.h^i)
-                if n or sign < 0:  # on the left, S empty is the unknown
+                if sub or sign < 0:  # on the left, S empty is the unknown
                     continue
                 fa = 1
             else:  # the h^1 mark gives da
-                fa, marks, side = da, n + x_mark, sub + a_base
+                fa, side = da, sub + a_base + da
                 if not x_mark:
                     fa *= da
                 if i > 1:
                     side += 1 << width * i
-                    marks += 1
                 else:
                     fa *= da
-                if marks > 2:
-                    side = (r, width, da, side)
-                    value = memo(side)
-                    fa *= (yield side) if value is None else value
-                    if not fa:
-                        continue
+                value = get(side)
+                fa *= (yield side) if value is None else value
+                if not fa:
+                    continue
             if not db:  # I_0(h^y.h^b2.S'.h^j)
-                if n < n_free:
+                if sub != every:
                     continue
                 fb = 1
             else:  # the h^b2 mark adds one
-                fb, marks, side = 1, b_marks - n, b_base - sub
+                fb, side = 1, b_base - sub + db
                 if y_one:
                     fb = db
                 if j > 1:
                     side += 1 << width * j
-                    marks += 1
                 else:
                     fb *= db
-                if marks > 2:
-                    side = (r, width, db, side)
-                    value = memo(side)
-                    fb *= (yield side) if value is None else value
+                value = get(side)
+                fb *= (yield side) if value is None else value
             part += ways * fa * fb
         total += sign * part
     return total

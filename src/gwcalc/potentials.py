@@ -509,20 +509,23 @@ def _phi(target: TargetSpace, idx: tuple[int, ...], order: int,
     invariants).  It is ``_expand`` of ``_listed`` over the ``_expansion``
     of (target, order, keep, count), kept in the table's ``phis`` under
     the sorted indices; an index 0 (the fundamental class) leaves the
-    constant I_0 and builds no table."""
-    exps = exponents_from_classes(target, idx)
+    constant I_0 and builds no table.  The indices are range-checked one
+    by one, so a hit costs no exponent vector and no time linear in r."""
+    for i in idx:
+        target.codim(i)  # range check
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    if exps[0]:
+    if 0 in idx:
         return TruncatedSeries.constant(
             target.basis_size if keep is None else len(keep), order,
-            _degree_zero(target, exps))
+            _degree_zero(target, exponents_from_classes(target, idx)))
     table = _expansion(target, order, keep, count)
     idx = tuple(sorted(idx))
     found = table.phis.get(idx)
     if found is None:
-        found = table.phis[idx] = _expand(
-            table, {key: num for _, key, num in _listed(table, exps)})
+        found = table.phis[idx] = _expand(table, {
+            key: num for _, key, num
+            in _listed(table, exponents_from_classes(target, idx))})
     return found
 
 

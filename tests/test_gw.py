@@ -299,6 +299,22 @@ def pr_grid(*strata):
             for exps in stripped_admissible_pr(r, d) if sum(exps) >= 3]
 
 
+def memo_items():
+    """The memo flattened to {(r, width, d, packed exponents): value}: each
+    (r, width) memo's packed keys with the degree taken out of digit 0.
+    The entry every memo is created with, I_1(h^r.h^r) = 1, is checked and
+    left out."""
+    items = {}
+    for (r, width), memo in gw_module._PR_CACHE.items():
+        seed = 1 + (2 << width * r)
+        assert memo[seed] == 1, (r, width)
+        for packed, value in memo.items():
+            if packed != seed:
+                d = packed & ((1 << width) - 1)
+                items[r, width, d, packed - d] = value
+    return items
+
+
 def stripped_admissible_keys():
     """Admissible keys with no fundamental or divisor class: P^2-P^4 in
     degree 1-3, and P1xP1 with 1 <= d + e <= 3."""
@@ -426,9 +442,8 @@ def test_one_slot_per_split_matches_the_full_scan(r, top):
             assert gw_module._reconstructed(gw_module._key(r, d, base)) == \
                 reference_invariant(r, d, base, memo), (r, d, base)
             checked += 1
-        for key, value in gw_module._PR_CACHE.items():
-            rr, _, d, _ = key
-            exps = gw_module._exponents(key)
+        for (rr, width, d, packed), value in memo_items().items():
+            exps = gw_module._exponents((rr, width, packed))
             assert rr == r and d >= 1 and len(exps) == r + 1, (rr, d, exps)
             assert exps[0] == exps[1] == 0 and sum(exps) >= 3, (d, exps)
             assert value == reference_invariant(rr, d, exps, memo)
@@ -466,27 +481,58 @@ def test_queries_past_255_marks_share_one_key_space():
             value = gw_invariant(InvariantKey(P3, d, (0, 0, points, 0)))
             assert hashlib.sha256(str(value).encode()).hexdigest()[:16] \
                 == digest, d
-            assert len(gw_module._PR_CACHE) == entries, d
+            assert len(memo_items()) == entries, d
     finally:
         gw_module.clear_caches()
 
 
 def test_the_memo_is_pinned_key_for_key():
-    # sha256 of the sorted (key, value) items of the memo, after one cold
-    # pass over every stripped admissible key of P^3 to degree 6, P^4 to
-    # degree 5 and P^5 to degree 4.  The digest was taken from the loop
-    # that solved each split's slot term by term; reading the slots from a
-    # table must write the same keys and the same values.
+    # sha256 of the sorted (key, value) items of the memo, flattened to
+    # (r, width, d, packed) keys by ``memo_items``, after one cold pass over
+    # every stripped admissible key of P^3 to degree 6, P^4 to degree 5 and
+    # P^5 to degree 4.  The digest was taken from the loop that solved each
+    # split's slot term by term; reading the slots from a table must write
+    # the same keys and the same values.
     gw_module.clear_caches()
     try:
         for r, d, exps in pr_grid((3, 6), (4, 5), (5, 4)):
             gw_module._stripped(ProjectiveSpace(r), d, exps)
-        items = sorted(gw_module._PR_CACHE.items())
+        items = sorted(memo_items().items())
     finally:
         gw_module.clear_caches()
     assert len(items) == 592
     assert hashlib.sha256(repr(items).encode()).hexdigest() == (
         "62e950ba2b8b062bee417509c3eb03229b2781065fb01761abd758d1ed1a7553")
+
+
+def test_wider_targets_are_pinned():
+    # sha256 of the values of every stripped admissible key of P^8 to
+    # degree 3 with at most 6 marks, of P^9 and P^10 to degree 2 with at
+    # most 7, and of P^40 to degree 2 with at most 4, the two-point
+    # I_1(h^r.h^r) included, each target on one cleared memo.  The digest
+    # was taken from the memo keyed by (r, width, d, packed) tuples, which
+    # counted each side's marks.  No memo may hold a key with fewer than
+    # three marks but the one every memo is created with.
+    values = []
+    try:
+        for r, top, most in ((8, 3, 6), (9, 2, 7), (10, 2, 7), (40, 2, 4)):
+            gw_module.clear_caches()
+            for d in range(1, top + 1):
+                weight = (r + 1) * d + r - 3
+                for n in range(2, most + 1):
+                    for classes in combinations_with_replacement(
+                            range(2, r + 1), n):
+                        if sum(classes) - n == weight:
+                            values.append(gw_invariant(key(
+                                ProjectiveSpace(r), d, classes)))
+            for rr, width, _, packed in memo_items():
+                exps = gw_module._exponents((rr, width, packed))
+                assert sum(exps) >= 3, (rr, exps)
+    finally:
+        gw_module.clear_caches()
+    assert len(values) == 3721
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+        "e4c50ebee680e62643685d476cf87406fb823911817122cc0013f5a0d8a2af41")
 
 
 def test_threads_sharing_the_memo_read_the_same_invariants():
@@ -503,7 +549,7 @@ def test_threads_sharing_the_memo_read_the_same_invariants():
                               .encode()).hexdigest()
 
     gw_module.clear_caches()
-    expected, memo = digest(), dict(gw_module._PR_CACHE)
+    expected, memo = digest(), memo_items()
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -527,7 +573,7 @@ def test_threads_sharing_the_memo_read_the_same_invariants():
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert found == [expected] * 8
-            assert gw_module._PR_CACHE == memo
+            assert memo_items() == memo
     finally:
         sys.setswitchinterval(switch)
         gw_module.clear_caches()
@@ -540,10 +586,10 @@ def test_threads_sharing_the_memo_read_the_same_invariants():
     (5, (0, 0, 0, 2 ** 40, 1, 2 ** 40 - 1)),
 ])
 def test_memo_keys_unpack_to_their_exponents(r, exps):
+    # The degree takes digit 0, which a stripped tuple leaves empty.
     key = gw_module._key(r, 7, exps)
-    assert key[0] == r and key[2] == 7
-    assert key[1] == max(16, sum(exps).bit_length())
-    assert gw_module._exponents(key) == exps
+    assert key[:2] == (r, max(16, sum(exps).bit_length()))
+    assert gw_module._exponents(key) == (7,) + exps[1:]
 
 
 def test_a_wide_memo_key_unpacks_in_time_linear_in_its_bits():
@@ -552,7 +598,7 @@ def test_a_wide_memo_key_unpacks_in_time_linear_in_its_bits():
     exps = (0,) * 49990 + (1,) * 11
     key = gw_module._key(50000, 3, exps)
     started = time.perf_counter()
-    assert gw_module._exponents(key) == exps
+    assert gw_module._exponents(key) == (3,) + exps[1:]
     assert time.perf_counter() - started < 0.1
 
 
@@ -572,7 +618,8 @@ def test_the_generic_reconstruction_gives_the_plane_counts_to_degree_150():
         key = lambda d: gw_module._key(2, d, (0, 0, 3 * d - 1))
         assert gw_module._reconstructed(key(150)) == n_d(150)
         for d in range(2, 151):
-            assert gw_module._PR_CACHE[key(d)] == n_d(d), d
+            r, width, packed = key(d)
+            assert gw_module._PR_CACHE[r, width][packed] == n_d(d), d
     finally:
         gw_module.clear_caches()
 

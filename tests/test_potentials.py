@@ -320,6 +320,28 @@ def test_the_listing_bound_refuses_p4_from_order_3161():
         _check_listing(ProjectiveSpace(4), 3161, tuple(range(5)))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((P3, 4, 1, 1, 2), "basis index 4 out of range for P^3"),
+    ((P3, 1, -1, 2, 2), "basis index -1 out of range for P^3"),
+    ((P3, 3, 1, 9, 4), "basis index 9 out of range for P^3"),
+    ((P3, 4, 1, 1, -1), "basis index 4 out of range for P^3"),
+    ((P3, 0, 1, 5, 2), "basis index 5 out of range for P^3"),
+    ((P1XP1, 1, 2, 4, 3), "basis index 4 out of range for P1xP1"),
+    ((P3, 1, 2, 3, -1), "order must be >= 0, got -1"),
+    ((ProjectiveSpace(1000), 1, 1, 1001, 1),
+     "basis index 1001 out of range for P^1000"),
+])
+def test_structure_constants_check_their_indices_before_the_lookup(
+        args, message):
+    # A structure constant is looked up by its sorted indices before any
+    # exponent vector is built, so each index is range-checked first, ahead
+    # of the order, on a table that already holds other constants too.
+    phi_ijk(P3, 3, 1, 2, 4)
+    with pytest.raises(ValueError) as info:
+        phi_ijk(*args)
+    assert str(info.value) == message
+
+
 def test_a_structure_constant_along_the_fundamental_class_builds_no_table():
     # h^0 kills every curve class, so Phi_0jk is the constant I_0(0jk) even
     # on a target whose table is past the listing bound.
