@@ -160,18 +160,13 @@ def _load_cache(path: str) -> None:
             if not line:
                 continue
             key, _, value = line.partition("\t")
-            # Malformed lines are ignored rather than fail a run, and so are
-            # the keys the tables never read: N_d below d = 2 and N_(d,e)
-            # with a side below 1, which the recursions give themselves.
+            # Malformed lines are ignored rather than fail a run.
             try:
                 if key.startswith("nd:"):
-                    d = int(key[3:])
-                    if d >= 2:
-                        nd[d] = int(value)
+                    nd[int(key[3:])] = int(value)
                 elif key.startswith("nde:"):
                     d, e = map(int, key[4:].split(","))
-                    if min(d, e) >= 1:
-                        nde[(d, e)] = int(value)
+                    nde[(d, e)] = int(value)
             except ValueError:
                 continue
     surfaces.seed_caches(nd, nde)
@@ -250,19 +245,19 @@ def _cmd_gw(args) -> dict:
         if args.degree is not None:
             raise UsageError("--collected solves for the degree; "
                              "drop --degree")
-        value = collected_invariant(target, exponents)
         inputs = {"target": args.target, "collected": True,
                   "classes": args.classes}
     else:
         if args.degree is None:
             raise UsageError("provide --degree, or use --collected")
         degree = _parse_degree(target, args.degree)
-        try:
-            value = gw_invariant(InvariantKey(target, degree, exponents))
-        except ValueError as exc:
-            raise UsageError(str(exc))
         inputs = {"target": args.target, "degree": args.degree,
                   "classes": args.classes}
+    try:  # a key past what the reconstruction holds is a usage error
+        value = (collected_invariant(target, exponents) if args.collected
+                 else gw_invariant(InvariantKey(target, degree, exponents)))
+    except ValueError as exc:
+        raise UsageError(str(exc))
     return _scalar_record(inputs, "value", "", value)
 
 

@@ -43,21 +43,17 @@ functions return.  The memo is keyed by stripped keys, is write-once, and
 holds values independent of evaluation order; each memo and each slot row
 is built whole before it is stored, so concurrent use is safe.
 
-The memo is one dict per (r, width), keyed by one int (``_key``) with
-the degree in the width-bit digit 0, which a stripped tuple leaves empty,
-and exps[k] in digit k, so each side key of a split is one int addition
-away from the split's own packed multiset.  The width is 16 bits, or the
-bit length of the mark count n when that is wider; the gate gives d < n,
-and no side key has more marks than the key it splits, so every key below
-a query fits the query's width and every query with n < 65,536 shares
-one key space.  Each memo is created holding I_1(h^r.h^r) = 1, the one
-stripped key the gate leaves below three marks, so no mark is counted.
+The memo is one dict per r, keyed by one int (``_key``) with the degree
+in the 32-bit digit 0, which a stripped tuple leaves empty, and exps[k]
+in digit k, so each side key of a split is one int addition away from the
+split's own packed multiset; a key of 2^32 or more marks is refused.
+Each memo is created holding I_1(h^r.h^r) = 1, the one stripped key the
+gate leaves below three marks, so no mark is counted.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from fractions import Fraction
 from itertools import compress
 from math import comb
@@ -67,10 +63,9 @@ from .targets import (Degree, ExponentVector, InvariantKey, P1xP1,
                       ProjectiveSpace, TargetSpace, _checked_exponents,
                       total_codim, validate_degree)
 
-_MemoKey = tuple[int, int, int]  # (r, width, packed), see _key
-_PR_CACHE: dict[tuple[int, int], dict[int, int]] = {}  # per (r, width)
+_MemoKey = tuple[int, int]  # (r, packed), see _key
+_PR_CACHE: dict[int, dict[int, int]] = {}  # per r
 _SLOTS: dict[tuple[int, int], list[tuple[int, int, int, int] | None]] = {}
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def clear_caches() -> None:
@@ -213,33 +208,25 @@ def _stripped(target: TargetSpace, degree: Degree, exps: ExponentVector
 
 
 def _key(r: int, d: int, exps: ExponentVector) -> _MemoKey:
-    """The memo key (r, width, packed) of a stripped exponent tuple of P^r
-    in degree d, ``packed`` its key in the memo of (r, width): d in the
-    width-bit digit 0 and exps[k] in digit k.  No digit exceeds the mark
-    count n (the gate gives d < n), and no side key has more marks than
-    the key it splits, so the width max(16, n.bit_length()) set here holds
-    every key below this one without a carry between digits.
+    """The memo key (r, packed) of a stripped exponent tuple of P^r in
+    degree d: d in the 32-bit digit 0 of ``packed`` and exps[k] in digit k.
+    No digit exceeds the mark count n (the gate gives d < n), and no side
+    key has more marks than the key it splits, so every key below one of
+    n < 2^32 marks packs without a carry between digits.  A key of more
+    marks is refused: its frame would list every mark.
     """
     n = sum(exps)
-    width = n.bit_length() if n >> 16 else 16
-    return r, width, d + sum(a << width * k for k, a in enumerate(exps) if a)
+    if n >> 32:
+        raise ValueError(f"{n} marks is more than the 2^32 - 1 an invariant "
+                         f"of P^{r} can be reconstructed with")
+    return r, d + sum(a << 32 * k for k, a in enumerate(exps) if a)
 
 
 def _exponents(key: _MemoKey) -> ExponentVector:
     """The digits 0..r of a memo key, undoing ``_key``: the degree, then
-    exps[1:].  Time linear in the key's bits: the packed int becomes bytes
-    once, and each digit is read from its own few bytes."""
-    r, width, packed = key
-    data = packed.to_bytes((width * (r + 1) + 7) >> 3, "little")
-    if width == 16:  # every query under 65,536 marks
-        digits = array("H", data)
-        if _BIG_ENDIAN:
-            digits.byteswap()
-        return tuple(digits)
-    mask = (1 << width) - 1
-    return tuple(int.from_bytes(data[bit >> 3:(bit + width + 7) >> 3],
-                                "little") >> (bit & 7) & mask
-                 for bit in range(0, width * (r + 1), width))
+    exps[1:]."""
+    r, packed = key
+    return struct.unpack(f"<{r + 1}I", packed.to_bytes(4 * (r + 1), "little"))
 
 
 def _reconstructed(key: _MemoKey) -> int:
@@ -248,13 +235,13 @@ def _reconstructed(key: _MemoKey) -> int:
     generator; a side key the generator yields gets a frame of its own,
     and a finished frame writes its value to the memo and sends it to the
     frame below."""
-    r, width, packed = key
-    memo = _PR_CACHE.get((r, width)) or _PR_CACHE.setdefault(
-        (r, width), {1 + (2 << width * r): 1})  # I_1(h^r.h^r)
+    r, packed = key
+    memo = _PR_CACHE.get(r) or _PR_CACHE.setdefault(
+        r, {1 + (2 << 32 * r): 1})  # I_1(h^r.h^r)
     value = memo.get(packed)
     if value is not None:
         return value
-    stack = [(packed, _reconstruct(memo, r, width, packed))]
+    stack = [(packed, _reconstruct(memo, r, packed))]
     while stack:
         packed, frame = stack[-1]
         try:
@@ -263,12 +250,12 @@ def _reconstructed(key: _MemoKey) -> int:
             stack.pop()
             memo[packed] = value = done.value
         else:
-            stack.append((child, _reconstruct(memo, r, width, child)))
+            stack.append((child, _reconstruct(memo, r, child)))
             value = None
     return value
 
 
-def _reconstruct(memo: dict[int, int], r: int, width: int, packed: int):
+def _reconstruct(memo: dict[int, int], r: int, packed: int):
     """Isolate I_d(exps) from the boundary-divisor balance equation: a
     generator that yields each side key the memo lacks and is sent its value.
 
@@ -309,23 +296,23 @@ def _reconstruct(memo: dict[int, int], r: int, width: int, packed: int):
     memo holds from its creation, so no mark is counted.
 
     The frame unpacks its own key once.  After that every multiset is one
-    packed int in the key's width (``_key``): the split table holds S, S'
-    is the packed free multiset minus S, and a side key is S or S' plus
-    its degree and 1 << width * k per added mark h^k.  Those shifts are
-    made where they are used: a table of all r + 1 of them would hold
-    O(r^2 width) bits, about 100 MB per frame on P^10000.  The split table
-    grows class by class from one list of options per free class,
-    (shift, C(count, s), (k - 1) s) for s = 0..count, so each binomial and
-    shift is made once per s, not once per split.
+    packed int (``_key``): the split table holds S, S' is the packed free
+    multiset minus S, and a side key is S or S' plus its degree and
+    1 << 32 * k per added mark h^k.  Those shifts are made where they are
+    used: a table of all r + 1 of them would hold 16 r^2 bits, about
+    200 MB per frame on P^10000.  The split table grows class by class
+    from one list of options per free class, (shift, C(count, s),
+    (k - 1) s) for s = 0..count, so each binomial and shift is made once
+    per s, not once per split.
     """
-    d, _, *exps = _exponents((r, width, packed))
+    d, _, *exps = _exponents((r, packed))
     c, *_, b2, b1 = [i for i, a in enumerate(exps, 2) for _ in range(a)]
     free = [a - (i == c) - (i == b1) - (i == b2)
             for i, a in enumerate(exps, 2)]
     splits = None  # [(S packed, labeled mark subsets, w)] once set
     for k, count in enumerate(free, 2):
         if count:
-            options = [(s << width * k, comb(count, s), (k - 1) * s)
+            options = [(s << 32 * k, comb(count, s), (k - 1) * s)
                        for s in range(count + 1)]
             splits = options if splits is None else [
                 (sub + shift, ways * ways_s, w + w_s)
@@ -335,10 +322,10 @@ def _reconstruct(memo: dict[int, int], r: int, width: int, packed: int):
         splits = [(0, 1, 0)]
     slots = _SLOTS.get((r, d)) or _slot_row(r, d)
     low = c == 2  # h^(c-1) is h^1: a factor of the side's degree, no mark
-    h_b1 = 1 << width * b1
-    h_c1 = 0 if low else 1 << width * (c - 1)
-    rest = packed - d - (1 << width * c)  # S + S' + h^b1 + h^b2
-    every = rest - h_b1 - (1 << width * b2)  # S + S'
+    h_b1 = 1 << 32 * b1
+    h_c1 = 0 if low else 1 << 32 * (c - 1)
+    rest = packed - d - (1 << 32 * c)  # S + S' + h^b1 + h^b2
+    every = rest - h_b1 - (1 << 32 * b2)  # S + S'
     get = memo.get
     total = 0
     # A holds h^1.h^x.S and B holds h^y.h^b2.S', with (x, y) = (c - 1, b1)
@@ -363,7 +350,7 @@ def _reconstruct(memo: dict[int, int], r: int, width: int, packed: int):
                 if not x_mark:
                     fa *= da
                 if i > 1:
-                    side += 1 << width * i
+                    side += 1 << 32 * i
                 else:
                     fa *= da
                 value = get(side)
@@ -379,7 +366,7 @@ def _reconstruct(memo: dict[int, int], r: int, width: int, packed: int):
                 if y_one:
                     fb = db
                 if j > 1:
-                    side += 1 << width * j
+                    side += 1 << 32 * j
                 else:
                     fb *= db
                 value = get(side)

@@ -36,8 +36,8 @@ monomials), ``terms``, ``leading_term``, ``render``.
 
 ``Fraction`` appears only at the boundary too: the constructor and the
 scalar operands take ints and Fractions, and ``terms`` (a read-only view
-built on first use and cached), ``coefficient``, ``leading_term`` and
-``render`` give canonical Fractions.
+built on each access), ``coefficient``, ``leading_term`` and ``render``
+give canonical Fractions.
 
 Instances are immutable after construction; all operations return new
 series, so sharing between threads is safe.
@@ -64,7 +64,7 @@ Exponents = tuple[int, ...]
 class TruncatedSeries:
     """A formal power series in ``nvars`` variables, exact up to ``order``."""
 
-    __slots__ = ("nvars", "order", "_den", "_nums", "_terms")
+    __slots__ = ("nvars", "order", "_den", "_nums")
 
     def __init__(self, nvars: int, order: int,
                  terms: Mapping[Exponents, Fraction] | None = None):
@@ -86,7 +86,7 @@ class TruncatedSeries:
         radix = order + 1
         _fill(self, nvars, order, den,
               {_pack(e, radix): c.numerator * (den // c.denominator)
-               for e, c in clean.items()}, MappingProxyType(clean))
+               for e, c in clean.items()})
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("TruncatedSeries is immutable")
@@ -130,14 +130,9 @@ class TruncatedSeries:
     @property
     def terms(self) -> Mapping[Exponents, Fraction]:
         """The stored terms as a read-only map to canonical Fractions."""
-        view = self._terms
-        if view is None:
-            den, nvars, radix = self._den, self.nvars, self.order + 1
-            view = MappingProxyType(
-                {_unpack(k, nvars, radix): Fraction(n, den)
-                 for k, n in self._nums.items()})
-            object.__setattr__(self, "_terms", view)
-        return view
+        den = self._den
+        return MappingProxyType({exps: Fraction(num, den)
+                                 for exps, num in self._unpacked()})
 
     def coefficient(self, exps: Exponents) -> Fraction:
         """Coefficient of the monomial x^exps (zero if absent)."""
@@ -369,16 +364,13 @@ def _variable_keys(nvars: int, order: int) -> list[int]:
 
 
 def _fill(series: TruncatedSeries, nvars: int, order: int, den: int,
-          nums: dict[int, int],
-          terms: Mapping[Exponents, Fraction] | None = None) -> None:
-    """Set the slots of a new series; without ``terms`` its Fraction view
-    is built on first use."""
+          nums: dict[int, int]) -> None:
+    """Set the slots of a new series."""
     set_slot = object.__setattr__
     set_slot(series, "nvars", nvars)
     set_slot(series, "order", order)
     set_slot(series, "_den", den)
     set_slot(series, "_nums", nums)
-    set_slot(series, "_terms", terms)
 
 
 def _rescaled(nums: dict[int, int], factor: int) -> dict[int, int]:
@@ -413,7 +405,11 @@ def parse_series(text: str, nvars: int, order: int) -> TruncatedSeries:
                     raise ValueError(f"variable x{idx} out of range")
                 exps[idx] += int(m.group(2) or 1)
             else:
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(
+                        f"zero denominator in {factor!r}") from None
         key = tuple(exps)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return TruncatedSeries(nvars, order, terms)

@@ -47,13 +47,16 @@ def seed_caches(nd: dict[int, int] | None = None,
     """Pre-populate the memo tables, e.g. from a persisted cache file.
 
     Entries are trusted as-is; the persistent cache is a convenience for
-    batch workflows, not a source of verification.
+    batch workflows, not a source of verification.  The keys the tables
+    never read are left out: N_d below d = 2 and N_(d,e) with a side below
+    1, which the recursions give themselves.
     """
     if nd:
-        _ND_CACHE.update(nd)
+        _ND_CACHE.update((d, value) for d, value in nd.items() if d >= 2)
     if nde:
         for (d, e), value in nde.items():
-            _NDE_CACHE[(min(d, e), max(d, e))] = value
+            if min(d, e) >= 1:
+                _NDE_CACHE[(min(d, e), max(d, e))] = value
 
 
 def cache_snapshot() -> tuple[dict[int, int], dict[tuple[int, int], int]]:

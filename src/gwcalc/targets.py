@@ -150,26 +150,43 @@ Degree = Union[int, tuple[int, int]]
 
 def validate_degree(target: TargetSpace, degree: Degree) -> Degree:
     """Check the degree shape for the given target, an int on P^r and a
-    pair on P1 x P1 (returned as a tuple), and its sign."""
+    pair of ints on P1 x P1 (returned as a tuple), and its sign."""
     if isinstance(target, ProjectiveSpace):
         if not isinstance(degree, int):
             raise ValueError(f"P^r expects an integer degree, got {degree!r}")
         _degree_parts(degree)
         return degree
-    d, e = degree
-    return _degree_parts((d, e))
+    pair = _pair(degree)
+    if pair is None:
+        raise ValueError(
+            f"P1xP1 expects a pair of integer degrees, got {degree!r}")
+    return _degree_parts(pair)
+
+
+def _pair(degree) -> tuple[int, int] | None:
+    """``degree`` as (d, e) when it is a pair of ints, else None."""
+    try:
+        d, e = degree
+    except (TypeError, ValueError):
+        return None
+    return (d, e) if isinstance(d, int) and isinstance(e, int) else None
 
 
 def _degree_parts(degree: Degree) -> tuple[int, ...]:
-    """(d,) for a degree, (d, e) for a bidegree; a negative part is refused."""
+    """(d,) for a degree, (d, e) for a bidegree; any other shape and a
+    negative part are refused."""
     if isinstance(degree, int):
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
         return (degree,)
-    d, e = degree
+    pair = _pair(degree)
+    if pair is None:
+        raise ValueError(f"a degree is an integer or a pair of integers, "
+                         f"got {degree!r}")
+    d, e = pair
     if d < 0 or e < 0:
         raise ValueError(f"bidegree components must be >= 0, got ({d}, {e})")
-    return (d, e)
+    return pair
 
 
 def exponents_from_classes(target: TargetSpace, classes: Iterable[int]) -> ExponentVector:

@@ -86,6 +86,22 @@ def test_gw_malformed_classes_exit_2():
                    "--classes", "h2:2").returncode == 2
 
 
+@pytest.mark.parametrize("degree", [["--degree", "1073741824"],
+                                    ["--collected"]])
+def test_gw_past_2_to_the_32_marks_exits_2_at_once(degree):
+    # The reconstruction packs each class count in a 32-bit digit; a key
+    # of 2^32 marks is refused before any frame starts, which would first
+    # list every mark.
+    started = time.perf_counter()
+    result = run_cli("gw", "--target", "p3", *degree,
+                     "--classes", "h2:4294967296")
+    assert time.perf_counter() - started < 1
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.splitlines() == [
+        "error: 4294967296 marks is more than the 2^32 - 1 an invariant of "
+        "P^3 can be reconstructed with"]
+
+
 def test_gw_empty_class_count_exits_2():
     # ``h2:`` names no count; a bare ``h2`` is one class.
     result = run_cli("gw", "--target", "p2", "--degree", "1",

@@ -300,18 +300,18 @@ def pr_grid(*strata):
 
 
 def memo_items():
-    """The memo flattened to {(r, width, d, packed exponents): value}: each
-    (r, width) memo's packed keys with the degree taken out of digit 0.
-    The entry every memo is created with, I_1(h^r.h^r) = 1, is checked and
-    left out."""
+    """The memo flattened to {(r, d, exponents): value}, whatever the layout
+    of its keys: each key unpacked to its degree (digit 0) and exps[1:],
+    with exps[0] = 0 put back.  The entry every memo is created with,
+    I_1(h^r.h^r) = 1, is checked and left out."""
     items = {}
-    for (r, width), memo in gw_module._PR_CACHE.items():
-        seed = 1 + (2 << width * r)
-        assert memo[seed] == 1, (r, width)
+    for r, memo in gw_module._PR_CACHE.items():
+        _, seed = gw_module._key(r, 1, (0,) * r + (2,))
+        assert memo[seed] == 1, r
         for packed, value in memo.items():
             if packed != seed:
-                d = packed & ((1 << width) - 1)
-                items[r, width, d, packed - d] = value
+                d, *exps = gw_module._exponents((r, packed))
+                items[r, d, (0, *exps)] = value
     return items
 
 
@@ -442,8 +442,7 @@ def test_one_slot_per_split_matches_the_full_scan(r, top):
             assert gw_module._reconstructed(gw_module._key(r, d, base)) == \
                 reference_invariant(r, d, base, memo), (r, d, base)
             checked += 1
-        for (rr, width, d, packed), value in memo_items().items():
-            exps = gw_module._exponents((rr, width, packed))
+        for (rr, d, exps), value in memo_items().items():
             assert rr == r and d >= 1 and len(exps) == r + 1, (rr, d, exps)
             assert exps[0] == exps[1] == 0 and sum(exps) >= 3, (d, exps)
             assert value == reference_invariant(rr, d, exps, memo)
@@ -468,10 +467,10 @@ def test_invariants_do_not_depend_on_the_recursion_limit():
 
 
 def test_queries_past_255_marks_share_one_key_space():
-    # Every key below a query packs its exponents in the query's digit
-    # width, which only a query of 65,536 or more marks widens.  The memo
-    # grows by just the entries each query adds: the third query, past 255
-    # marks, reuses the first two's instead of filling a second key space.
+    # Every key of P^r packs its exponents in the same 32-bit digits.  The
+    # memo grows by just the entries each query adds: the third query, past
+    # 255 marks, reuses the first two's instead of filling a second key
+    # space.
     gw_module.clear_caches()
     try:
         for d, points, digest, entries in [
@@ -488,11 +487,11 @@ def test_queries_past_255_marks_share_one_key_space():
 
 def test_the_memo_is_pinned_key_for_key():
     # sha256 of the sorted (key, value) items of the memo, flattened to
-    # (r, width, d, packed) keys by ``memo_items``, after one cold pass over
+    # (r, d, exponents) keys by ``memo_items``, after one cold pass over
     # every stripped admissible key of P^3 to degree 6, P^4 to degree 5 and
-    # P^5 to degree 4.  The digest was taken from the loop that solved each
-    # split's slot term by term; reading the slots from a table must write
-    # the same keys and the same values.
+    # P^5 to degree 4.  The digest was taken from the memo keyed by
+    # 16-bit digits, one memo per (r, digit width); keys of 32-bit digits
+    # must flatten to the same keys and the same values.
     gw_module.clear_caches()
     try:
         for r, d, exps in pr_grid((3, 6), (4, 5), (5, 4)):
@@ -502,7 +501,7 @@ def test_the_memo_is_pinned_key_for_key():
         gw_module.clear_caches()
     assert len(items) == 592
     assert hashlib.sha256(repr(items).encode()).hexdigest() == (
-        "62e950ba2b8b062bee417509c3eb03229b2781065fb01761abd758d1ed1a7553")
+        "b9ed72ac5f409e51f9af45749ba3da7b336f2ea2e15815ea296c8d570d2e86de")
 
 
 def test_wider_targets_are_pinned():
@@ -525,8 +524,7 @@ def test_wider_targets_are_pinned():
                         if sum(classes) - n == weight:
                             values.append(gw_invariant(key(
                                 ProjectiveSpace(r), d, classes)))
-            for rr, width, _, packed in memo_items():
-                exps = gw_module._exponents((rr, width, packed))
+            for rr, _, exps in memo_items():
                 assert sum(exps) >= 3, (rr, exps)
     finally:
         gw_module.clear_caches()
@@ -583,13 +581,26 @@ def test_threads_sharing_the_memo_read_the_same_invariants():
     (3, (0, 0, 2 ** 16 - 1, 0)),
     (3, (0, 0, 2 ** 16, 0)),
     (4, (0, 0, 2 ** 16 + 1, 3, 2 ** 17)),
-    (5, (0, 0, 0, 2 ** 40, 1, 2 ** 40 - 1)),
+    (5, (0, 0, 0, 2 ** 31, 1, 2 ** 31 - 2)),
+    (3, (0, 0, 2 ** 32 - 1, 0)),
 ])
 def test_memo_keys_unpack_to_their_exponents(r, exps):
     # The degree takes digit 0, which a stripped tuple leaves empty.
     key = gw_module._key(r, 7, exps)
-    assert key[:2] == (r, max(16, sum(exps).bit_length()))
+    assert key[0] == r
     assert gw_module._exponents(key) == (7,) + exps[1:]
+
+
+@pytest.mark.parametrize("r, exps", [
+    (3, (0, 0, 2 ** 32, 0)),
+    (4, (0, 0, 2 ** 31, 2 ** 31, 0)),
+    (5, (0, 0, 0, 2 ** 40, 1, 2 ** 40 - 1)),
+])
+def test_memo_keys_hold_fewer_than_2_to_the_32_marks(r, exps):
+    # A key of 2^32 or more marks could never be answered: its frame lists
+    # every mark and builds a split table at least as long.
+    with pytest.raises(ValueError, match=f"{sum(exps)} marks"):
+        gw_module._key(r, 7, exps)
 
 
 def test_a_wide_memo_key_unpacks_in_time_linear_in_its_bits():
@@ -618,8 +629,8 @@ def test_the_generic_reconstruction_gives_the_plane_counts_to_degree_150():
         key = lambda d: gw_module._key(2, d, (0, 0, 3 * d - 1))
         assert gw_module._reconstructed(key(150)) == n_d(150)
         for d in range(2, 151):
-            r, width, packed = key(d)
-            assert gw_module._PR_CACHE[r, width][packed] == n_d(d), d
+            r, packed = key(d)
+            assert gw_module._PR_CACHE[r][packed] == n_d(d), d
     finally:
         gw_module.clear_caches()
 
@@ -637,11 +648,25 @@ def test_the_generic_reconstruction_gives_the_plane_counts_to_degree_150():
                                    "got (-1, 2)"),
     (P1XP1, [1, -2], (0, 0, 0, 3), "bidegree components must be >= 0, "
                                    "got (1, -2)"),
+    (P1XP1, 1, (0, 0, 0, 1), "P1xP1 expects a pair of integer degrees, "
+                             "got 1"),
+    (P1XP1, (1, 1, 1), (0, 0, 0, 5), "P1xP1 expects a pair of integer "
+                                     "degrees, got (1, 1, 1)"),
+    (P1XP1, (1, "1"), (0, 0, 0, 3), "P1xP1 expects a pair of integer "
+                                    "degrees, got (1, '1')"),
 ])
 def test_invariant_key_errors(target, degree, exponents, message):
     with pytest.raises(ValueError) as info:
         InvariantKey(target, degree, exponents)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("degree", [1, (1, 1, 1), (2,), None])
+def test_dim_moduli_refuses_a_malformed_bidegree(degree):
+    with pytest.raises(ValueError) as info:
+        dim_moduli(P1XP1, degree, 3)
+    assert str(info.value) == (
+        f"P1xP1 expects a pair of integer degrees, got {degree!r}")
 
 
 def test_invariant_key_text():

@@ -163,6 +163,10 @@ def test_count_labeled_configurations():
     (-1, PINS, "degree must be >= 0, got -1"),
     ((1, -1), PINS, "bidegree components must be >= 0, got (1, -1)"),
     ((-3, 0), PINS, "bidegree components must be >= 0, got (-3, 0)"),
+    ((1, 1, 1), PINS, "a degree is an integer or a pair of integers, "
+                      "got (1, 1, 1)"),
+    ((1,), PINS, "a degree is an integer or a pair of integers, got (1,)"),
+    ("12", PINS, "a degree is an integer or a pair of integers, got '12'"),
 ])
 def test_listing_and_count_refuse_the_same_input(listing, degree, pins,
                                                  message):

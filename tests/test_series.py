@@ -399,3 +399,10 @@ def test_parse_refuses_a_variable_out_of_range():
     with pytest.raises(ValueError) as info:
         parse_series("x0 + x2", 2, 3)
     assert str(info.value) == "variable x2 out of range"
+
+
+def test_parse_refuses_a_zero_denominator():
+    for text in ("1/0", "x0 + 3/0·x1"):
+        with pytest.raises(ValueError) as info:
+            parse_series(text, 2, 3)
+        assert str(info.value).startswith("zero denominator in "), text

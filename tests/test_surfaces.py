@@ -161,6 +161,20 @@ def test_private_and_shared_tables_use_one_key_layout():
         clear_caches()
 
 
+def test_seeding_leaves_out_the_keys_the_tables_never_read():
+    # N_d below d = 2 and N_(d,e) with a side below 1 come from the
+    # recursions' base cases, never from the tables.
+    clear_caches()
+    try:
+        seed_caches(nd={1: 5, 0: 7, -3: 1}, nde={(0, 3): 7, (2, 0): 1})
+        assert cache_snapshot() == ({}, {})
+        seed_caches(nd={1: 5, 2: 1}, nde={(0, 3): 7, (4, 3): 87544})
+        assert cache_snapshot() == ({2: 1}, {(3, 4): 87544})
+        assert n_d(1) == 1 and n_de(0, 3) == 0 and n_de(1, 0) == 1
+    finally:
+        clear_caches()
+
+
 def test_required_points():
     assert required_points(ProjectiveSpace(2), 3) == 8
     assert required_points(ProjectiveSpace(2), 1) == 2
