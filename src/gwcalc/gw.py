@@ -27,12 +27,13 @@ divisors by the splitting formula, where the unknown appears once with
 coefficient one.  The gate is checked at the entry only: in each split it
 fixes the one live degree and gluing class of each side, a slot that
 depends on the split only through its gate weight.  So the split loop
-reads each split's slot from a row per (r, d) (``_slot_row``), where a
+reads each split's slot from a row per (r, d) (``_SLOTS``), where a
 slot dead for every split is None, resolves both sides' marks by
 arithmetic on a live slot and probes the memo once per live side of
-positive degree.  The recursion runs on an explicit stack of generator
-frames (``_reconstructed``), so its depth is bounded by memory, not by
-the interpreter's recursion limit.
+positive degree.  A frame unpacks its key once and then works on the
+classes the key holds, not on all of h^0..h^r.  The recursion runs on an
+explicit stack of generator frames (``_reconstructed``), so its depth is
+bounded by memory, not by the interpreter's recursion limit.
 
 Every target runs this path in one integer function (``_invariant``),
 which ends in the stripped entry (``_stripped``): the curve count or the
@@ -213,7 +214,7 @@ def _key(r: int, d: int, exps: ExponentVector) -> _MemoKey:
     No digit exceeds the mark count n (the gate gives d < n), and no side
     key has more marks than the key it splits, so every key below one of
     n < 2^32 marks packs without a carry between digits.  A key of more
-    marks is refused: its frame would list every mark.
+    marks is refused: its frame would list an option per mark of a class.
     """
     n = sum(exps)
     if n >> 32:
@@ -283,9 +284,17 @@ def _reconstruct(memo: dict[int, int], r: int, packed: int):
     The slot depends on S only through w, so each orientation (left or
     right) runs over the split table in a pass of its own, with its
     constants made once and its terms summed apart, and reads the split's
-    slot from the (r, d) row at index w + m (``_slot_row``).  A slot with
-    h^0 on a side of positive degree is None there, so such a term costs
-    one list index.
+    slot from the (r, d) row (``_SLOTS``) at t = w + m: (dA, dB, i, j) with
+    (dA, j) = divmod(t, r + 1), dB = d - dA and i = r - j, where the gate
+    keeps t below (r + 1)(d + 1), or None where the split is dead whatever
+    its S (i = 0 < dA or j = 0 < dB: h^0 on a side of positive degree), so
+    such a term costs one list index.  The first frame of an (r, d) builds
+    the row whole and stores it by one assignment, so a concurrent frame
+    reads a complete row or none.  Its blocks of r + 1 entries read their
+    (i, j) from one gluing list, so a row makes r + 1 ints, not
+    (r + 1)(d + 1).  Its tuples remain: a degree-d query on a wide target
+    builds the rows of every degree up to d, so there the rows, not the
+    frames, set its memory (about 40 MB at degree 8 on P^10000).
 
     The gate is met on each side, so its marks resolve by arithmetic: in
     degree zero the side is one exactly when S (or S') is empty; in
@@ -295,22 +304,25 @@ def _reconstruct(memo: dict[int, int], r: int, packed: int):
     side left with fewer than three marks is I_1(h^r.h^r), which every
     memo holds from its creation, so no mark is counted.
 
-    The frame unpacks its own key once.  After that every multiset is one
-    packed int (``_key``): the split table holds S, S' is the packed free
-    multiset minus S, and a side key is S or S' plus its degree and
-    1 << 32 * k per added mark h^k.  Those shifts are made where they are
-    used: a table of all r + 1 of them would hold 16 r^2 bits, about
-    200 MB per frame on P^10000.  The split table grows class by class
-    from one list of options per free class, (shift, C(count, s),
-    (k - 1) s) for s = 0..count, so each binomial and shift is made once
-    per s, not once per split.
+    The frame unpacks its own key once, and one pass in C lists the
+    classes it holds; everything after that runs per class held, not per
+    r.  Every multiset is one packed int (``_key``): the split table holds
+    S, S' is the packed free multiset minus S, and a side key is S or S'
+    plus its degree and 1 << 32 * k per added mark h^k.  Those shifts are
+    made where they are used: a table of all r + 1 of them would hold
+    16 r^2 bits, about 200 MB per frame on P^10000.  The split table grows
+    class by class from one list of options per free class,
+    (shift, C(count, s), (k - 1) s) for s = 0..count, so each binomial and
+    shift is made once per s, not once per split.
     """
-    d, _, *exps = _exponents((r, packed))
-    c, *_, b2, b1 = [i for i, a in enumerate(exps, 2) for _ in range(a)]
-    free = [a - (i == c) - (i == b1) - (i == b2)
-            for i, a in enumerate(exps, 2)]
+    digits = _exponents((r, packed))
+    d = digits[0]
+    held = list(compress(range(r + 1), digits))[1:]  # h^2 and up
+    c, b1 = held[0], held[-1]
+    b2 = b1 if digits[b1] > 1 else held[-2]
     splits = None  # [(S packed, labeled mark subsets, w)] once set
-    for k, count in enumerate(free, 2):
+    for k in held:
+        count = digits[k] - (k == c) - (k == b1) - (k == b2)
         if count:
             options = [(s << 32 * k, comb(count, s), (k - 1) * s)
                        for s in range(count + 1)]
@@ -320,7 +332,13 @@ def _reconstruct(memo: dict[int, int], r: int, packed: int):
                 for shift, ways_s, w_s in options]
     if splits is None:
         splits = [(0, 1, 0)]
-    slots = _SLOTS.get((r, d)) or _slot_row(r, d)
+    slots = _SLOTS.get((r, d))
+    if slots is None:  # entry t: divmod(t, r + 1) = (dA, j)
+        # gluing is bound inside the build, so the frame does not keep it
+        _SLOTS[r, d] = slots = [
+            None if da and j == r or not j and da < d else (da, d - da, i, j)
+            for gluing in [[(r - j, j) for j in range(r + 1)]]
+            for da in range(d + 1) for i, j in gluing]
     low = c == 2  # h^(c-1) is h^1: a factor of the side's degree, no mark
     h_b1 = 1 << 32 * b1
     h_c1 = 0 if low else 1 << 32 * (c - 1)
@@ -374,28 +392,6 @@ def _reconstruct(memo: dict[int, int], r: int, packed: int):
             part += ways * fa * fb
         total += sign * part
     return total
-
-
-def _slot_row(r: int, d: int) -> list[tuple[int, int, int, int] | None]:
-    """The slots of one (r, d), indexed by w + x + 1 (see ``_reconstruct``).
-
-    Entry t holds (dA, dB, i, j) with (dA, j) = divmod(t, r + 1), dB = d - dA
-    and i = r - j, or None where the split is dead whatever its S: h^0 on a
-    side of positive degree (i = 0 < dA or j = 0 < dB).  The gate keeps t
-    below (r + 1)(d + 1), so dB is never negative.  The row is built whole
-    and stored by one assignment, so a concurrent frame reads a complete
-    row or none.  Every block of r + 1 entries reads its (i, j) from one
-    list, so a row on a wide target makes r + 1 ints, not (r + 1)(d + 1).
-    Its tuples remain: a query of degree d on a wide target builds the
-    rows of every degree up to d, about (r + 1) d^2 / 2 entries, so there
-    the rows, not the frames, set its memory (about 40 MB at degree 8 on
-    P^10000).
-    """
-    gluing = [(r - j, j) for j in range(r + 1)]
-    row = [None if da and j == r or not j and da < d else (da, d - da, i, j)
-           for da in range(d + 1) for i, j in gluing]
-    _SLOTS[r, d] = row
-    return row
 
 
 def collected_invariant(target: TargetSpace, exponents: ExponentVector) -> Fraction:

@@ -122,6 +122,8 @@ class TruncatedSeries:
 
     @classmethod
     def variable(cls, nvars: int, order: int, index: int) -> "TruncatedSeries":
+        if not 0 <= index < nvars:
+            raise ValueError(f"variable index {index} out of range")
         exps = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, order, {exps: Fraction(1)})
 

@@ -96,6 +96,8 @@ class ProjectiveSpace(_Presented):
     params = ("q",)
 
     def __init__(self, r: int) -> None:
+        if isinstance(r, bool) or not isinstance(r, int):
+            raise ValueError(f"projective space needs an integer r, got {r!r}")
         if r < 1:
             raise ValueError(f"projective space needs r >= 1, got r={r}")
         object.__setattr__(self, "r", r)

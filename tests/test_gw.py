@@ -682,6 +682,13 @@ def test_projective_space_needs_a_positive_dimension():
     assert str(info.value) == "projective space needs r >= 1, got r=0"
 
 
+@pytest.mark.parametrize("r", [2.5, "3", True, 3.0, None])
+def test_projective_space_needs_an_integer_r(r):
+    with pytest.raises(ValueError) as info:
+        ProjectiveSpace(r)
+    assert str(info.value) == f"projective space needs an integer r, got {r!r}"
+
+
 @pytest.mark.parametrize("exponents, message", [
     ((0, 2), "exponent vector length 2 does not match basis size 3 of P^2"),
     ((0, -1, 4), "exponents must be >= 0, got (0, -1, 4)"),

@@ -223,6 +223,18 @@ def test_wdvv_residual_vanishes_at_every_quadruple(target, order):
         assert (residual.nvars, residual.order) == (m, order)
 
 
+@pytest.mark.parametrize("quad", [
+    (1, 1, 2, 2), (1, 1, 2, 3), (1, 1, 3, 3), (1, 2, 2, 3), (1, 2, 3, 3),
+    (2, 2, 3, 3)])
+def test_p1x1_residual_vanishes_in_every_quadruple_class_at_order_90(quad):
+    # A wrong N_(d,e) shows in six sorted classes of P1xP1 quadruples, and
+    # only (1,2,3,3) is the equation the table filler transcribes; the
+    # other five check N_(d,e) independently, up to d + e = 45 at order 90.
+    # All 256 quadruples at this order would take about 40 times as long.
+    from gwcalc.potentials import _wdvv_residual
+    assert _wdvv_residual(P1XP1, 90, None, None, *quad).is_zero()
+
+
 def test_wdvv_general_pr():
     assert wdvv_general_pr(2, 1, 1, 2, 2, 6).is_zero()
     assert wdvv_general_pr(2, 0, 1, 2, 2, 4).is_zero()

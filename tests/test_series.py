@@ -384,6 +384,10 @@ def test_constructor_errors(nvars, order, terms, message):
     (lambda s: s.partial_derivative(-1), "variable index -1 out of range"),
     (lambda s: s.substitute_zero(2), "variable index 2 out of range"),
     (lambda s: s.substitute_zero(-1), "variable index -1 out of range"),
+    (lambda s: TruncatedSeries.variable(2, 2, 5),
+     "variable index 5 out of range"),
+    (lambda s: TruncatedSeries.variable(2, 2, -1),
+     "variable index -1 out of range"),
 ])
 def test_query_errors(call, message):
     s = TruncatedSeries(2, 3, {(1, 0): 1, (1, 2): Fraction(1, 2)})
