@@ -1,8 +1,8 @@
 """Genus-0 Gromov-Witten invariants of P^r and P1 x P1.
 
 Every invariant takes the same path at the public entry (Kontsevich-Manin
-1994, section 2).  Each step is written once, on degrees and exponent
-tuples:
+1994, section 2).  Each step is written once; the gate and the strip read
+degrees and exponent tuples:
 
 1. dimension gate (``_vdim``): the invariant vanishes unless the input
    codimensions sum to c1(beta) + dim X + n - 3, the dimension of the
@@ -37,17 +37,22 @@ bounded by memory, not by the interpreter's recursion limit.
 
 Every target runs this path in one integer function (``_invariant``),
 which ends in the stripped entry (``_stripped``): the curve count or the
-reconstruction of a stripped exponent tuple that meets the gate.  The
-potentials call that entry directly, on keys they build stripped and
-within the gate; ``Fraction`` appears only in the values the public
+reconstruction of stripped marks that meet the gate.  ``_invariant`` is
+the one place where exponent tuples, one entry per basis class, become
+marks, the (class, count) pairs of the classes a key holds; past it,
+degree zero, the memo key and the potentials read marks only, so their
+work grows with the classes held, not with the width of the basis.  The
+potentials call the stripped entry directly, on marks they build stripped
+and within the gate; ``Fraction`` appears only in the values the public
 functions return.  The memo is keyed by stripped keys, is write-once, and
 holds values independent of evaluation order; each memo and each slot row
 is built whole before it is stored, so concurrent use is safe.
 
 The memo is one dict per r, keyed by one int (``_key``) with the degree
-in the 32-bit digit 0, which a stripped tuple leaves empty, and exps[k]
-in digit k, so each side key of a split is one int addition away from the
-split's own packed multiset; a key of 2^32 or more marks is refused.
+in the 32-bit digit 0, which stripped marks leave empty, and the count of
+h^k in digit k, so each side key of a split is one int addition away
+from the split's own packed multiset; a key of 2^32 or more marks is
+refused.
 Each memo is created holding I_1(h^r.h^r) = 1, the one stripped key the
 gate leaves below three marks, so no mark is counted.
 """
@@ -65,6 +70,7 @@ from .targets import (Degree, ExponentVector, InvariantKey, P1xP1,
                       total_codim, validate_degree)
 
 _MemoKey = tuple[int, int]  # (r, packed), see _key
+Marks = tuple[tuple[int, int], ...]  # (class, count) pairs, see _invariant
 _PR_CACHE: dict[int, dict[int, int]] = {}  # per r
 _SLOTS: dict[tuple[int, int], list[tuple[int, int, int, int] | None]] = {}
 
@@ -80,16 +86,16 @@ def _vdim(target: TargetSpace, total: int, n: int) -> int:
     return target.index * total + target.dimension + n - 3
 
 
-def _degree_zero(target: TargetSpace, exps: ExponentVector) -> int:
+def _degree_zero(target: TargetSpace, marks: Marks) -> int:
     """Degree-zero invariant: only three-point invariants survive, and
     those are one when the classes' words add up to the point class's.
-    Only the marked classes' words are read, picked out by ``compress``,
-    so a wide target costs one pass over the exponents in C."""
-    if sum(exps) != 3:
+    Only the words of the marked classes are read, so the cost grows with
+    the marks, not with the basis."""
+    if sum(a for _, a in marks) != 3:
         return 0
-    classes = [word for word, a in compress(zip(target.words, exps), exps)
-               for _ in range(a)]
-    return int(tuple(map(sum, zip(*classes))) == target.words[-1])
+    words = target.words
+    classes = [words[c] for c, a in marks for _ in range(a)]
+    return int(tuple(map(sum, zip(*classes))) == words[-1])
 
 
 def _strip(exps: ExponentVector, pairings: tuple[int, ...]
@@ -183,21 +189,24 @@ def gw_invariant(key: InvariantKey) -> Fraction:
 def _invariant(target: TargetSpace, degree: Degree, exps: ExponentVector
                ) -> int:
     """The invariant of a valid degree and exponent tuple: the gate, degree
-    zero and the strip, then ``_stripped``."""
+    zero and the strip, then ``_stripped``.  Both of those read marks:
+    the (class, count) pairs of the nonzero exponents, picked out here in
+    one pass in C.  Marks built elsewhere (the potentials' tails) may
+    name a class twice, and every reader adds up its counts."""
     pairings = target.pairings(degree)
     total = sum(pairings)
     if total_codim(target, exps) != _vdim(target, total, sum(exps)):
         return 0
     if not total:
-        return _degree_zero(target, exps)
+        return _degree_zero(target, tuple(compress(enumerate(exps), exps)))
     mult, exps = _strip(exps, pairings)
-    return mult * _stripped(target, degree, exps) if mult else 0
+    return mult * _stripped(target, degree, tuple(
+        compress(enumerate(exps), exps))) if mult else 0
 
 
-def _stripped(target: TargetSpace, degree: Degree, exps: ExponentVector
-              ) -> int:
-    """The invariant of a positive degree and a stripped exponent tuple (no
-    fundamental or divisor class) that meets the gate: the curve count or
+def _stripped(target: TargetSpace, degree: Degree, marks: Marks) -> int:
+    """The invariant of a positive degree and stripped marks (no
+    fundamental or divisor class) that meet the gate: the curve count or
     the reconstruction."""
     # The gate leaves exactly 2(d+e) - 1 point classes on P1 x P1, 3d - 1
     # on P^2 and no class on P^1, in degree one: the identity map.
@@ -205,22 +214,26 @@ def _stripped(target: TargetSpace, degree: Degree, exps: ExponentVector
         return n_de(*degree)
     if target.r < 3:
         return n_d(degree) if target.r == 2 else 1
-    return _reconstructed(_key(target.r, degree, exps))
+    return _reconstructed(_key(target.r, degree, marks))
 
 
-def _key(r: int, d: int, exps: ExponentVector) -> _MemoKey:
-    """The memo key (r, packed) of a stripped exponent tuple of P^r in
-    degree d: d in the 32-bit digit 0 of ``packed`` and exps[k] in digit k.
-    No digit exceeds the mark count n (the gate gives d < n), and no side
-    key has more marks than the key it splits, so every key below one of
-    n < 2^32 marks packs without a carry between digits.  A key of more
-    marks is refused: its frame would list an option per mark of a class.
+def _key(r: int, d: int, marks: Marks) -> _MemoKey:
+    """The memo key (r, packed) of stripped marks of P^r in degree d: d in
+    the 32-bit digit 0 of ``packed`` and the count of h^k in digit k, each
+    (k, a) mark adding a to it.  No digit exceeds the mark count n (the
+    gate gives d < n), and no side key has more marks than the key it
+    splits, so every key below one of n < 2^32 marks packs without a carry
+    between digits.  A key of more marks is refused: its frame would list
+    an option per mark of a class.
     """
-    n = sum(exps)
+    n = packed = 0
+    for k, a in marks:
+        n += a
+        packed += a << 32 * k
     if n >> 32:
         raise ValueError(f"{n} marks is more than the 2^32 - 1 an invariant "
                          f"of P^{r} can be reconstructed with")
-    return r, d + sum(a << 32 * k for k, a in enumerate(exps) if a)
+    return r, d + packed
 
 
 def _exponents(key: _MemoKey) -> ExponentVector:

@@ -35,12 +35,14 @@ degree the order reaches; only its per-key memos (the rows of
 exp(<beta, x>), the graded lists and the expanded series) fill on use,
 each entry a function of its own key alone, so threads that share a
 table read the same values.  The builder reads the target and count from
-the table and works per listed term: it strips the index classes once
-per structure constant, so a curve class's multiplier is a product of
-its pairings; per total degree it lists the tails the gate admits once,
-from the free vectors the table keeps bucketed by gate weight; and the
-invariants are read by their stripped key (``gw._stripped``), since the
-key is built within the gate.  The residual
+the table and works per listed term: it strips the sorted index classes
+once per structure constant, so a curve class's multiplier is a product
+of its pairings; per total degree it lists the tails the gate admits
+once, from the free vectors the table keeps bucketed by gate weight; and
+the invariants are read by their stripped marks (``gw._stripped``), since
+the marks are built within the gate.  A structure constant is keyed by
+its sorted indices and its tails are (class, count) pairs, so none builds
+a vector as wide as the basis.  The residual
 multiplies the same lists, where exp(<beta, x>) exp(<beta', x>) =
 exp(<beta + beta', x>) makes their keys add and a binomial keeps the
 product over the factorial of its degree, so its ints stay the size of
@@ -53,20 +55,19 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import comb, prod
 from operator import itemgetter, mul
 from typing import Callable
 
 from .exact import factorial
-from .gw import _degree_zero, _stripped, _vdim
+from .gw import Marks, _degree_zero, _invariant, _stripped, _vdim
 from .series import TruncatedSeries, _variable_keys
-from .targets import (P1XP1, Degree, ExponentVector, P1xP1, ProjectiveSpace,
-                      TargetSpace, exponents_from_classes)
+from .targets import P1XP1, Degree, P1xP1, ProjectiveSpace, TargetSpace
 
 NdSource = Callable[[int], int]
 NdeSource = Callable[[int, int], int]
-Count = Callable[[Degree, ExponentVector], int]
+Count = Callable[[Degree, Marks], int]  # I_beta of stripped marks in the gate
 
 _P1, _P2 = ProjectiveSpace(1), ProjectiveSpace(2)
 
@@ -108,8 +109,9 @@ def classical_potential(target: TargetSpace) -> TruncatedSeries:
                 f"got {target}")
     elif not isinstance(target, P1xP1):
         raise ValueError(f"unsupported target {target!r}")
+    zero = target.degrees(0)[0]
     return TruncatedSeries(target.basis_size, 3, {
-        a: Fraction(_degree_zero(target, a), prod(map(factorial, a)))
+        a: Fraction(_invariant(target, zero, a), prod(map(factorial, a)))
         for a in _exponent_vectors(target.basis_size, 3) if sum(a) == 3})
 
 
@@ -239,8 +241,9 @@ class _Expansion:
     at ``place``), built as sums of the variables' keys:
 
     * ``target``: the target, for the builder and the invariants;
-    * ``count``: I_beta of a stripped exponent tuple that meets the gate,
-      ``gw._stripped`` of the target unless another count is given;
+    * ``count``: I_beta of stripped marks, (class, count) pairs, that
+      meet the gate, ``gw._stripped`` of the target unless another count
+      is given;
     * ``heads``: the key of every head of degree <= order in rising
       degree, ``sizes[d]`` the number of heads of degree <= d,
       ``head_scale`` their H / u!, and ``columns`` their exponents, one
@@ -261,7 +264,7 @@ class _Expansion:
     * ``rows``: per packed pairing tuple, the nonzero terms (head key,
       <beta, x>^u / u! times H) of exp(<beta, x>) up to the longest
       degree asked for so far, with their count of heads;
-    * ``lists``: per index exponent vector, the ``_listed`` structure
+    * ``lists``: per sorted index tuple, the ``_listed`` structure
       constant, for the next structure constant, residual or big product
       that asks;
     * ``phis``: per sorted index tuple, the series ``_phi`` expands.
@@ -324,7 +327,7 @@ class _Expansion:
             for total in range(most + 1)]
         self.count = count or partial(_stripped, target)
         self.rows: dict[int, list[tuple[int, int]]] = {}
-        self.lists: dict[ExponentVector, list[tuple[int, int, int]]] = {}
+        self.lists: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
         self.phis: dict[tuple[int, ...], TruncatedSeries] = {}
 
     def row(self, pairing: int, degree: int) -> list[tuple[int, int]]:
@@ -381,20 +384,23 @@ def _scaled(dens: list[int], columns: list[tuple[int, ...]],
     return out
 
 
-def _terms(table: _Expansion, idx_exps: ExponentVector) -> dict[int, int]:
-    """The graded terms of the curve-class part along the index classes
-    ``idx_exps`` (no fundamental class among them) on the table's target:
-    one int numerator per (pairing, tail) key, over the factorial of the
-    tail's degree.  The table's count gives I_beta for stripped exponents
-    that meet the gate.
+def _terms(table: _Expansion, idx: tuple[int, ...]) -> dict[int, int]:
+    """The graded terms of the curve-class part along the sorted index
+    classes ``idx`` (no fundamental class among them) on the table's
+    target: one int numerator per (pairing, tail) key, over the factorial
+    of the tail's degree.  The table's count gives I_beta for stripped
+    marks that meet the gate.
 
     The term num at key pairing * bound + key(t) stands for
     num / |t|! * x^t * exp(<beta, x>) over the kept divisors, and its sum
     over beta != 0 and the tails is the quantum part: I_beta * mult /
     t! = I_beta * mult * (|f|! / f!) * C(|t|, last) / |t|! for the free
     part f and the last placed exponent of t.  The strip is made once per
-    call: the index classes' divisors leave the stripped base, and each
-    beta's multiplier is the product of its pairings to their exponents.
+    call: ``idx`` gives the pairings each beta's multiplier multiplies,
+    one per index divisor, the placed marks (class, 1) every tail starts
+    from, and the gate offset, the sum of the index classes' gate weights.
+    A tail's marks are the placed marks, f and (last placed class, its
+    exponent) when that is nonzero, so no tail is as wide as the basis.
     Per total degree the gate solves the exponent of the last placed class
     from the free part's gate weight, so the buckets of the weights that
     leave a multiple of ``top`` list the tails once, and each curve class
@@ -404,12 +410,11 @@ def _terms(table: _Expansion, idx_exps: ExponentVector) -> dict[int, int]:
     pairings digit by digit."""
     target, top, order = table.target, table.top, table.order
     buckets, placed, top_key = table.buckets, table.placed, table.top_key
-    count = table.count
+    count, weight = table.count, table.weight
     strip = len(target.params) + 1  # h^0 and the divisors
-    base = (0,) * strip + idx_exps[strip:]
-    divisors = [(i, a) for i, a in enumerate(idx_exps[1:strip]) if a]
-    offset = sum(map(mul, compress(table.weight, idx_exps),  # marked only
-                     compress(idx_exps, idx_exps)))
+    divisors = [c - 1 for c in idx if c < strip]  # at pairing[c - 1]
+    marks = tuple((c, 1) for c in idx if c >= strip)
+    offset = sum(weight[c] for c in idx)
     step = top or 1  # with no placed class only gap 0 reaches the listing
     terms: dict[int, int] = {}
     get = terms.get
@@ -425,26 +430,22 @@ def _terms(table: _Expansion, idx_exps: ExponentVector) -> dict[int, int]:
             if rest:
                 continue
             room, last_key = order - last, last * top_key
+            held = marks + ((placed[-1], last),) if last else marks
             for f, f_key, n, f_scale in bucket:
                 if n > room:  # the tail alone exceeds the order
                     break
-                exps = list(base)
-                for c, a in f:
-                    exps[c] += a
-                if last:
-                    exps[placed[-1]] += last
-                tails.append((f_key + last_key, tuple(exps),
+                tails.append((f_key + last_key, f + held,
                               f_scale * comb(n + last, last) if n else 1))
         if not tails:
             continue
         for beta, pairing, high in table.classes[total]:
             mult = 1
-            for i, a in divisors:
-                mult *= pairing[i] ** a
+            for at in divisors:
+                mult *= pairing[at]
             if not mult:
                 continue
-            for tail_key, exps, scale in tails:
-                value = count(beta, exps)
+            for tail_key, tail, scale in tails:
+                value = count(beta, tail)
                 if value:
                     key = high + tail_key
                     terms[key] = get(key, 0) + value * mult * scale
@@ -482,18 +483,19 @@ def _expand(table: _Expansion, terms: dict[int, int]) -> TruncatedSeries:
         {k: n for k, n in acc.items() if n})
 
 
-def _listed(table: _Expansion, exps: ExponentVector
+def _listed(table: _Expansion, idx: tuple[int, ...]
             ) -> list[tuple[int, int, int]]:
-    """Phi along the index exponents ``exps`` as (tail degree, key, num)
-    graded terms in rising tail degree, I_0(exps) at key 0, on the table's
-    target with the table's count, kept in the table's ``lists``."""
-    found = table.lists.get(exps)
+    """Phi along the sorted index classes ``idx`` as (tail degree, key,
+    num) graded terms in rising tail degree, I_0(idx) at key 0, on the
+    table's target with the table's count, kept in the table's ``lists``
+    under ``idx``."""
+    found = table.lists.get(idx)
     if found is None:
         # h^0 kills every curve class.
-        graded = {} if exps[0] else _terms(table, exps)
-        if constant := _degree_zero(table.target, exps):
+        graded = {} if 0 in idx else _terms(table, idx)
+        if constant := _degree_zero(table.target, tuple((c, 1) for c in idx)):
             graded[0] = graded.get(0, 0) + constant
-        found = table.lists[exps] = sorted(
+        found = table.lists[idx] = sorted(
             (key % table.bound // table.place, key, num)
             for key, num in graded.items())
     return found
@@ -510,7 +512,8 @@ def _phi(target: TargetSpace, idx: tuple[int, ...], order: int,
     of (target, order, keep, count), kept in the table's ``phis`` under
     the sorted indices; an index 0 (the fundamental class) leaves the
     constant I_0 and builds no table.  The indices are range-checked one
-    by one, so a hit costs no exponent vector and no time linear in r."""
+    by one, and no exponent vector is built, so no call takes time linear
+    in r."""
     for i in idx:
         target.codim(i)  # range check
     if order < 0:
@@ -518,14 +521,13 @@ def _phi(target: TargetSpace, idx: tuple[int, ...], order: int,
     if 0 in idx:
         return TruncatedSeries.constant(
             target.basis_size if keep is None else len(keep), order,
-            _degree_zero(target, exponents_from_classes(target, idx)))
+            _degree_zero(target, tuple((c, 1) for c in idx)))
     table = _expansion(target, order, keep, count)
     idx = tuple(sorted(idx))
     found = table.phis.get(idx)
     if found is None:
         found = table.phis[idx] = _expand(table, {
-            key: num for _, key, num
-            in _listed(table, exponents_from_classes(target, idx))})
+            key: num for _, key, num in _listed(table, idx)})
     return found
 
 
@@ -542,12 +544,15 @@ def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
     (|a| + |b|)! times C(|a| + |b|, |a|), so all 2m products go into one
     accumulator in the normalization of ``_terms``; a square visits each
     unordered pair once.  Only the entries that do not cancel are
-    expanded; a vanishing residual expands nothing."""
+    expanded; a vanishing residual expands nothing.  The order is checked
+    first, then i, j, k and l in turn."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     m = target.basis_size
     table = _expansion(target, order, keep, count)
-    g = lambda *ijk: _listed(table, exponents_from_classes(target, ijk))
+    for index in (i, j, k, l):
+        target.codim(index)  # range check
+    g = lambda *ijk: _listed(table, tuple(sorted(ijk)))
     acc: dict[int, int] = {}
     get = acc.get
     for e in range(m):
@@ -580,15 +585,15 @@ def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
 
 
 def _nd_count(nd: NdSource | None) -> Count | None:
-    """N_d from ``nd``, whatever the point exponents; None for the default
+    """N_d from ``nd``, whatever the marks; None for the default
     counts, which the shared tables read as invariants (``_expansion``)."""
-    return None if nd is None else lambda d, exps: nd(d)
+    return None if nd is None else lambda d, marks: nd(d)
 
 
 def _nde_count(nde: NdeSource | None) -> Count | None:
-    """N_(d,e) from ``nde``, whatever the exponents; None for the default
+    """N_(d,e) from ``nde``, whatever the marks; None for the default
     counts, as in ``_nd_count``."""
-    return None if nde is None else lambda beta, exps: nde(*beta)
+    return None if nde is None else lambda beta, marks: nde(*beta)
 
 
 def gamma_p2_reduced(i: int, j: int, k: int, order: int,
@@ -604,7 +609,7 @@ def gamma_p2_reduced(i: int, j: int, k: int, order: int,
     Any index 0 yields the zero series.
     """
     phi = _phi(_P2, (i, j, k), order, _nd_count(nd), (2,))
-    return phi - _degree_zero(_P2, exponents_from_classes(_P2, (i, j, k)))
+    return phi - _degree_zero(_P2, ((i, 1), (j, 1), (k, 1)))
 
 
 def quantum_potential_p2_reduced(order: int, nd: NdSource | None = None
@@ -637,7 +642,7 @@ def gamma_p1x1(i: int, j: int, k: int, order: int,
     """Third partial of the P1xP1 quantum potential with respect to
     x_i, x_j, x_k (indices in 1..3); an index 0 yields the zero series."""
     phi = _phi(P1XP1, (i, j, k), order, _nde_count(nde), (1, 2, 3))
-    return phi - _degree_zero(P1XP1, exponents_from_classes(P1XP1, (i, j, k)))
+    return phi - _degree_zero(P1XP1, ((i, 1), (j, 1), (k, 1)))
 
 
 def wdvv_residual_p1x1(order: int, nde: NdeSource | None = None

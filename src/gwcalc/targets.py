@@ -152,9 +152,10 @@ Degree = Union[int, tuple[int, int]]
 
 def validate_degree(target: TargetSpace, degree: Degree) -> Degree:
     """Check the degree shape for the given target, an int on P^r and a
-    pair of ints on P1 x P1 (returned as a tuple), and its sign."""
+    pair of ints on P1 x P1 (returned as a tuple), and its sign.  An int
+    here is of type ``int`` exactly: a bool is refused."""
     if isinstance(target, ProjectiveSpace):
-        if not isinstance(degree, int):
+        if type(degree) is not int:
             raise ValueError(f"P^r expects an integer degree, got {degree!r}")
         _degree_parts(degree)
         return degree
@@ -166,18 +167,19 @@ def validate_degree(target: TargetSpace, degree: Degree) -> Degree:
 
 
 def _pair(degree) -> tuple[int, int] | None:
-    """``degree`` as (d, e) when it is a pair of ints, else None."""
+    """``degree`` as (d, e) when it is a pair of ints (not bools), else
+    None."""
     try:
         d, e = degree
     except (TypeError, ValueError):
         return None
-    return (d, e) if isinstance(d, int) and isinstance(e, int) else None
+    return (d, e) if type(d) is type(e) is int else None
 
 
 def _degree_parts(degree: Degree) -> tuple[int, ...]:
-    """(d,) for a degree, (d, e) for a bidegree; any other shape and a
-    negative part are refused."""
-    if isinstance(degree, int):
+    """(d,) for a degree, (d, e) for a bidegree; any other shape, a bool
+    and a negative part are refused."""
+    if type(degree) is int:
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
         return (degree,)
@@ -209,11 +211,13 @@ def total_codim(target: TargetSpace, exponents: ExponentVector) -> int:
 def _checked_exponents(target: TargetSpace,
                        exponents: ExponentVector) -> ExponentVector:
     """The exponent vector as a tuple, once it is checked: one entry per
-    basis class, none negative."""
+    basis class, each an int (not a bool), none negative."""
     if len(exponents) != target.basis_size:
         raise ValueError(
             f"exponent vector length {len(exponents)} does not "
             f"match basis size {target.basis_size} of {target}")
+    if not {int}.issuperset(map(type, exponents)):
+        raise ValueError(f"exponents must be integers, got {exponents}")
     if min(exponents) < 0:  # every basis has at least two classes
         raise ValueError(f"exponents must be >= 0, got {exponents}")
     return tuple(exponents)

@@ -87,7 +87,7 @@ def test_criterion_04_gw_cross_oracle():
     # Public gw_pr reads N_d on P^2, so drive the reconstruction engine
     # itself on the stripped P^2 keys h2^(3d-1).
     for d in range(2, 9):
-        key = gw_module._key(2, d, (0, 0, 3 * d - 1))
+        key = gw_module._key(2, d, ((2, 3 * d - 1),))
         assert gw_module._reconstructed(key) == n_d(d), d
     for total in range(1, 5):
         for d in range(total + 1):

@@ -167,6 +167,9 @@ def test_count_labeled_configurations():
                       "got (1, 1, 1)"),
     ((1,), PINS, "a degree is an integer or a pair of integers, got (1,)"),
     ("12", PINS, "a degree is an integer or a pair of integers, got '12'"),
+    (True, PINS, "a degree is an integer or a pair of integers, got True"),
+    ((1, False), PINS, "a degree is an integer or a pair of integers, "
+                       "got (1, False)"),
 ])
 def test_listing_and_count_refuse_the_same_input(listing, degree, pins,
                                                  message):

@@ -245,6 +245,30 @@ def test_wdvv_general_pr():
         wdvv_general_pr(2, 3, 0, 0, 0, 3)
 
 
+@pytest.mark.parametrize("name, args, message", [
+    ("wdvv_general_pr", (3, -1, 1, 2, 2, 3),
+     "basis index -1 out of range for P^3"),
+    ("wdvv_general_pr", (3, 4, 1, 1, 1, 3),
+     "basis index 4 out of range for P^3"),
+    ("wdvv_general_pr", (3, 1, 1, 7, -2, 3),
+     "basis index 7 out of range for P^3"),
+    ("wdvv_general_pr", (3, 1, 1, 2, -2, 3),
+     "basis index -2 out of range for P^3"),
+    ("_wdvv_residual", (P1XP1, 3, None, None, 1, 2, 3, 4),
+     "basis index 4 out of range for P1xP1"),
+    ("wdvv_general_pr", (3, -1, 9, 1, 1, -1), "order must be >= 0, got -1"),
+], ids=["negative-i", "i-past-r", "k-before-l", "negative-l", "p1x1-l",
+        "order-first"])
+def test_residuals_check_the_order_then_each_index(name, args, message):
+    # Past the range check an index reads a weight by position, where -1
+    # would be the last class, so each index is checked, in the order i,
+    # j, k, l, after the order.
+    from gwcalc import potentials
+    with pytest.raises(ValueError) as info:
+        getattr(potentials, name)(*args)
+    assert str(info.value) == message
+
+
 def test_exponent_vectors_do_not_recurse_per_variable():
     from gwcalc.potentials import _exponent_vectors
     assert sys.getrecursionlimit() < 2000

@@ -18,7 +18,7 @@ from math import factorial, prod
 
 import pytest
 
-from gwcalc.gw import _invariant, _strip, _vdim, collected_invariant, \
+from gwcalc.gw import _strip, _stripped, _vdim, collected_invariant, \
     gw_invariant
 from gwcalc.potentials import (_phi, _wdvv_residual, gamma_p1x1,
                                gamma_p2_reduced, phi_ijk, wdvv_general_pr,
@@ -119,7 +119,7 @@ def test_p1x1_residual_matches_the_reference(order):
 def test_every_quadruple_matches_the_reference(r, order):
     target = ProjectiveSpace(r)
     m = r + 1
-    count = functools.partial(_invariant, target)
+    count = functools.partial(_stripped, target)
     phi = lambda ijk: phi_ijk(target, *ijk, order)
     for quad in itertools.product(range(m), repeat=4):
         assert_same(_wdvv_residual(target, order, count, tuple(range(m)),
@@ -150,7 +150,7 @@ def test_every_quadruple_matches_the_definition(r, order, bumped, nonzero):
     # counts make residuals nonzero, so their expansion is checked too.
     target = ProjectiveSpace(r)
     count = None if bumped is None else (
-        lambda beta, exps: _invariant(target, beta, exps) + (beta == bumped))
+        lambda beta, marks: _stripped(target, beta, marks) + (beta == bumped))
     seen = 0
     for quad, reference in reference_residuals(
             target, defined_phi(target, order, bumped)):
@@ -167,7 +167,7 @@ def test_p1_structure_constants_match_the_definition(bumped):
     # [1].  A rank-two quantum product is associative whatever the counts,
     # so the residuals vanish even for bumped ones.
     count = None if bumped is None else (
-        lambda beta, exps: _invariant(P1, beta, exps) + (beta == bumped))
+        lambda beta, marks: _stripped(P1, beta, marks) + (beta == bumped))
     for order in range(9):
         phi = defined_phi(P1, order, bumped)
         for ijk in itertools.combinations_with_replacement(range(2), 3):
@@ -188,8 +188,8 @@ def test_perturbed_general_residuals_match_the_reference(
     m = target.basis_size
     keep = tuple(range(m))
 
-    def count(beta, exps):
-        return _invariant(target, beta, exps) + (beta == bumped)
+    def count(beta, marks):
+        return _stripped(target, beta, marks) + (beta == bumped)
 
     phi = lambda ijk: _phi(target, ijk, order, count, keep)
     seen = 0
