@@ -122,6 +122,8 @@ def dim_moduli(target: TargetSpace, degree: Degree, n: int) -> int:
     which is reported as an error rather than a dimension.
     """
     validate_degree(target, degree)
+    if type(n) is not int:
+        raise ValueError(f"mark count must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"mark count must be >= 0, got {n}")
     total = sum(target.pairings(degree))

@@ -164,6 +164,9 @@ def count_pinned_partitions(marks: MarkSet, degree,
 def stratum_dimension(n: int, delta: int) -> int:
     """Dimension of the locus of stable n-pointed rational curves with
     delta nodes: n - 3 - delta."""
+    if type(n) is not int or type(delta) is not int:
+        raise ValueError(f"mark and node counts must be integers, got "
+                         f"{n!r} and {delta!r}")
     if n < 3:
         raise ValueError(f"need n >= 3 marks, got {n}")
     if not 0 <= delta <= n - 3:
@@ -176,6 +179,8 @@ def boundary_divisor_count_m0n(n: int) -> int:
     """Number of boundary divisors of the n-pointed curve space:
     unordered splits A | B with both sides of size >= 2, i.e.
     2^(n-1) - 1 - n."""
+    if type(n) is not int:
+        raise ValueError(f"mark count must be an integer, got {n!r}")
     if n < 4:
         raise ValueError(f"boundary divisors need n >= 4, got {n}")
     return 2 ** (n - 1) - 1 - n

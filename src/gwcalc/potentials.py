@@ -42,26 +42,27 @@ once, from the free vectors the table keeps bucketed by gate weight; and
 the invariants are read by their stripped marks (``gw._stripped``), since
 the marks are built within the gate.  A structure constant is keyed by
 its sorted indices and its tails are (class, count) pairs, so none builds
-a vector as wide as the basis.  The residual
-multiplies the same lists, where exp(<beta, x>) exp(<beta', x>) =
-exp(<beta + beta', x>) makes their keys add and a binomial keeps the
-product over the factorial of its degree, so its ints stay the size of
-the coefficients; it expands only the entries that do not cancel: a
-vanishing residual expands nothing.
+a vector as wide as the basis.  One lister (``_vectors``) gives every
+exponent vector of total <= order over a list of classes in that sparse
+form, with its key, degree and factorial: the table's heads over the kept
+divisors and its free vectors come from it, and so does the classical
+cubic.  The residual multiplies the same lists, where exp(<beta, x>)
+exp(<beta', x>) = exp(<beta + beta', x>) makes their keys add and a
+binomial keeps the product over the factorial of its degree, so its ints
+stay the size of the coefficients; it expands only the entries that do
+not cancel: a vanishing residual expands nothing.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from fractions import Fraction
+from collections import Counter
 from functools import partial
 from itertools import accumulate
-from math import comb, prod
+from math import comb
 from operator import itemgetter, mul
-from typing import Callable
+from typing import Callable, Iterable
 
-from .exact import factorial
-from .gw import Marks, _degree_zero, _invariant, _stripped, _vdim
+from .gw import Marks, _degree_zero, _stripped, _vdim
 from .series import TruncatedSeries, _variable_keys
 from .targets import P1XP1, Degree, P1xP1, ProjectiveSpace, TargetSpace
 
@@ -72,32 +73,31 @@ Count = Callable[[Degree, Marks], int]  # I_beta of stripped marks in the gate
 _P1, _P2 = ProjectiveSpace(1), ProjectiveSpace(2)
 
 
-def _exponent_vectors(nvars: int, max_total: int):
-    """All exponent tuples with the given variable count and total <= bound,
-    in lexicographic order.  One odometer with a running total, so neither
-    the variable count nor the recursion limit bounds it."""
-    exps = [0] * nvars
-    total = 0
-    while True:
-        yield tuple(exps)
-        if nvars and total < max_total:
-            exps[-1] += 1
-            total += 1
-            continue
-        # Roll over: clear the last nonzero digit and carry into the one
-        # before it; the carry cannot raise the total.
-        last = nvars - 1
-        while last >= 0 and not exps[last]:
-            last -= 1
-        if last <= 0:
-            return
-        total -= exps[last] - 1
-        exps[last] = 0
-        exps[last - 1] += 1
+def _vectors(classes: Iterable[int], unit: dict[int, int] | list[int],
+             order: int) -> list[tuple]:
+    """Every exponent vector v of total <= order over ``classes``, as
+    (v as sparse (class, count) pairs, its series key, |v|, v!) in rising
+    degree |v|, where ``unit[c]`` is the key of the variable of class c.
+    It grows the vectors one class at a time, and only those below the
+    order take a later class, so neither the class count nor the
+    recursion limit bounds it."""
+    empty = ((), 0, 0, 1)
+    vectors, short = [empty], [empty]
+    for c in classes:
+        u = unit[c]
+        grown = []
+        for v, key, n, den in short:
+            for a in range(1, order - n + 1):
+                den *= a
+                grown.append((v + ((c, a),), key + a * u, n + a, den))
+        vectors += grown
+        short += [vector for vector in grown if vector[2] < order]
+    return sorted(vectors, key=itemgetter(2))
 
 
 def classical_potential(target: TargetSpace) -> TruncatedSeries:
-    """The degree-zero part of the potential, computed from the invariants.
+    """The degree-zero part of the potential, read from the degree-zero
+    rule (``gw._degree_zero``) on every exponent vector of degree 3.
 
     Phi_cl = sum_{i,j,k} x_i x_j x_k / 3! * I_0(basis triple), a cubic in
     one variable per basis class.  Supported for P^1, P^2, P^3 and P1xP1.
@@ -109,10 +109,12 @@ def classical_potential(target: TargetSpace) -> TruncatedSeries:
                 f"got {target}")
     elif not isinstance(target, P1xP1):
         raise ValueError(f"unsupported target {target!r}")
-    zero = target.degrees(0)[0]
-    return TruncatedSeries(target.basis_size, 3, {
-        a: Fraction(_invariant(target, zero, a), prod(map(factorial, a)))
-        for a in _exponent_vectors(target.basis_size, 3) if sum(a) == 3})
+    m = target.basis_size
+    # I_0 is 0 or 1, and 0 off degree 3: x^v / v! is 6 // v! over 3!.
+    return TruncatedSeries._trusted(m, 3, 6, {
+        key: 6 // den
+        for v, key, _, den in _vectors(range(m), _variable_keys(m, 3), 3)
+        if _degree_zero(target, v)})
 
 
 def gw_potential_p1(order: int) -> TruncatedSeries:
@@ -200,19 +202,16 @@ def _check_listing(target: TargetSpace, order: int, keep: tuple[int, ...]
     if not d:
         big += 1  # one row, of the empty head
     else:
-        # At most C(d + most, d) rows of C(d + order, d) heads; only near
-        # the bound are they counted by total s: C(d - 1 + s, d - 1)
-        # pairings, each of at most C(d + order - least, d) heads, where
-        # the gate leaves a tail of degree >= least.
-        if (big + comb(d + most, d) * comb(d + order, d)) * bits \
-                > _MAX_TABLE_BITS:
-            for total in range(1, most + 1):
-                gap = _vdim(target, total, 0) - heaviest
-                least = max(-(-gap // top), 0) if top else 0  # ceil
-                if least > order or big * bits > _MAX_TABLE_BITS:
-                    break
-                big += comb(d - 1 + total, d - 1) * comb(
-                    d + order - least, d)
+        # The rows by total s: C(d - 1 + s, d - 1) pairings, each of at
+        # most C(d + order - least, d) heads, where the gate leaves a tail
+        # of degree >= least; the count stops at the first total past the
+        # bound, so a huge order is refused at once.
+        for total in range(1, most + 1):
+            gap = _vdim(target, total, 0) - heaviest
+            least = max(-(-gap // top), 0) if top else 0  # ceil
+            if least > order or big * bits > _MAX_TABLE_BITS:
+                break
+            big += comb(d - 1 + total, d - 1) * comb(d + order - least, d)
     if big * bits > _MAX_TABLE_BITS:
         raise _ListingTooLarge(
             f"order {order} on {target} is too large: {big} factorial-sized "
@@ -244,15 +243,15 @@ class _Expansion:
     * ``count``: I_beta of stripped marks, (class, count) pairs, that
       meet the gate, ``gw._stripped`` of the target unless another count
       is given;
-    * ``heads``: the key of every head of degree <= order in rising
-      degree, ``sizes[d]`` the number of heads of degree <= d,
-      ``head_scale`` their H / u!, and ``columns`` their exponents, one
-      column per divisor;
+    * ``heads``: (u, key, H / u!) for every head u of degree <= order
+      over the kept ``divisors``, u as sparse (class, count) pairs, in
+      rising degree (``_vectors``), ``sizes[d]`` the number of heads of
+      degree <= d;
     * ``buckets``: (gate weight, bucket) in rising weight, one per weight
-      that some free vector has; a bucket lists (f, key, degree |f|,
-      |f|! / f!) per free vector f of that weight in rising degree, f as
-      sparse (class, count) pairs; ``top_key`` is the key of the last
-      placed class;
+      that some free vector has, the weight sum_c weight(c) * f_c; a
+      bucket lists (f, key, degree |f|, |f|! / f!) per free vector f of
+      that weight in rising degree, f as sparse (class, count) pairs
+      (``_vectors``); ``top_key`` is the key of the last placed class;
     * ``tail_scale``: T / n! for each tail degree n, by a running product
       (``[1]`` when no class is placed, so every tail is empty);
     * ``classes``: per total degree 0..``most`` (``_check_listing``, the
@@ -270,10 +269,10 @@ class _Expansion:
     * ``phis``: per sorted index tuple, the series ``_phi`` expands.
     """
 
-    __slots__ = ("target", "nvars", "order", "weight", "placed", "top",
-                 "bound", "place", "head_den", "heads", "sizes", "head_scale",
-                 "columns", "buckets", "top_key", "tail_scale", "pair_radix",
-                 "classes", "count", "rows", "lists", "phis")
+    __slots__ = ("target", "nvars", "order", "weight", "divisors", "placed",
+                 "top", "bound", "place", "head_den", "heads", "sizes",
+                 "buckets", "top_key", "tail_scale", "pair_radix", "classes",
+                 "count", "rows", "lists", "phis")
 
     def __init__(self, target: TargetSpace, order: int,
                  keep: tuple[int, ...] | None, count: Count | None = None):
@@ -281,7 +280,8 @@ class _Expansion:
         weight, divisors, placed, top, most = _check_listing(
             target, order, keep)
         self.target, self.nvars, self.order = target, len(keep), order
-        self.weight, self.placed, self.top = weight, placed, top
+        self.weight, self.divisors = weight, divisors
+        self.placed, self.top = placed, top
         self.bound = bound = (order + 1) ** (len(keep) + 1)
         self.place = bound // (order + 1)
         facts = list(accumulate(range(1, order + 1), mul, initial=1))
@@ -289,28 +289,14 @@ class _Expansion:
         unit = dict(zip(keep, _variable_keys(len(keep), order)))
         # Heads in rising degree, which is all the product loop's break
         # needs: a head fits beside a tail exactly when its degree does.
-        heads = sorted(_exponent_vectors(len(divisors), order), key=sum)
-        degrees = list(map(sum, heads))
-        self.sizes = [bisect_right(degrees, d) for d in range(order + 1)]
-        self.columns = columns = list(zip(*heads))
-        self.heads = _dot(columns, [unit[c] for c in divisors], len(heads))
-        self.head_scale = _scaled([head_den] * len(heads), columns, facts)
-        # (f, weight, key, |f|, f!) per free vector, one class at a time;
-        # only the vectors below the order (``short``) take a later class.
-        empty = ((), 0, 0, 0, 1)
-        vectors, short = [empty], [empty]
-        for c in placed[:-1]:
-            w, u = weight[c], unit[c]
-            grown = [(f + ((c, a),), f_weight + a * w, f_key + a * u, n + a,
-                      den * facts[a])
-                     for f, f_weight, f_key, n, den in short
-                     for a in range(1, order - n + 1)]
-            vectors += grown
-            short += [vector for vector in grown if vector[3] < order]
+        heads = _vectors(divisors, unit, order)
+        self.heads = [(u, key, head_den // den) for u, key, _, den in heads]
+        per_degree = Counter(n for _, _, n, _ in heads)
+        self.sizes = list(accumulate(per_degree[n] for n in range(order + 1)))
         buckets: dict[int, list[tuple]] = {}
-        for f, f_weight, f_key, n, den in sorted(vectors, key=itemgetter(3)):
-            buckets.setdefault(f_weight, []).append(
-                (f, f_key, n, facts[n] // den))
+        for f, key, n, den in _vectors(placed[:-1], unit, order):
+            buckets.setdefault(sum(weight[c] * a for c, a in f), []).append(
+                (f, key, n, facts[n] // den))
         self.buckets = sorted(buckets.items())
         self.top_key = unit[placed[-1]] if placed else 0
         # T / n! from n = order down to 0, then in rising n.
@@ -332,19 +318,24 @@ class _Expansion:
 
     def row(self, pairing: int, degree: int) -> list[tuple[int, int]]:
         """The terms of exp(<beta, x>) up to at least ``degree`` for one
-        packed pairing tuple, from one list of pairing powers per divisor;
-        a stored row is rebuilt only when a longer one is asked for."""
+        packed pairing tuple: one list of pairing powers per divisor, and
+        each head's H / u! times the powers its pairs pick; a stored row
+        is rebuilt only when a longer one is asked for."""
         size = self.sizes[degree]
         stored = self.rows.get(pairing)
         if stored is None or stored[0] < size:
-            nums = self.head_scale[:size]
+            powers = {}
             rest = pairing
-            for column in self.columns:
+            for c in self.divisors:
                 rest, p = divmod(rest, self.pair_radix)
-                powers = [p ** a for a in range(degree + 1)]
-                nums = [num * powers[a] for num, a in zip(nums, column)]
-            stored = self.rows[pairing] = (size, [
-                (key, num) for key, num in zip(self.heads, nums) if num])
+                powers[c] = [p ** a for a in range(degree + 1)]
+            terms = []
+            for u, key, num in self.heads[:size]:
+                for c, a in u:
+                    num *= powers[c][a]
+                if num:
+                    terms.append((key, num))
+            stored = self.rows[pairing] = (size, terms)
         return stored[1]
 
 
@@ -364,24 +355,6 @@ def _expansion(target: TargetSpace, order: int, keep: tuple[int, ...] | None,
     key = (target, order, keep)
     return _TABLES.get(key) or _TABLES.setdefault(
         key, _Expansion(target, order, keep))
-
-
-def _dot(columns: list[tuple[int, ...]], coefs: list[int],
-         size: int) -> list[int]:
-    """sum_c coefs[c] * columns[c], entry by entry, one column at a time."""
-    out = [0] * size
-    for column, coef in zip(columns, coefs):
-        out = [x + a * coef for x, a in zip(out, column)]
-    return out
-
-
-def _scaled(dens: list[int], columns: list[tuple[int, ...]],
-            facts: list[int]) -> list[int]:
-    """dens / prod_c columns[c]!, entry by entry (each division is exact)."""
-    out = dens
-    for column in columns:
-        out = [x // facts[a] for x, a in zip(out, column)]
-    return out
 
 
 def _terms(table: _Expansion, idx: tuple[int, ...]) -> dict[int, int]:

@@ -32,6 +32,8 @@ reference recursion, whose sums for (d, e) and (e, d) differ.
 
 from __future__ import annotations
 
+from .targets import _pair, validate_degree
+
 _ND_CACHE: dict[int, int] = {}
 _NDE_CACHE: dict[tuple[int, int], int] = {}
 
@@ -226,8 +228,8 @@ def required_points(target, degree) -> int:
     if target.dimension != 2:
         raise ValueError(
             f"required_points is defined for P^2 and P1xP1, got {target}")
-    pairings = target.pairings(degree)
-    if min(pairings) < 0 or sum(pairings) < 1:
+    pairings = target.pairings(validate_degree(target, degree))
+    if sum(pairings) < 1:
         raise ValueError(
             f"plane curve count needs degree >= 1, got {degree}"
             if len(pairings) == 1 else f"invalid bidegree {degree}")
@@ -237,6 +239,9 @@ def required_points(target, degree) -> int:
 def genus_nodal_p2(d: int, delta: int) -> int:
     """Genus of a nodal degree-d plane curve with delta nodes:
     (d-1)(d-2)/2 - delta."""
+    if type(d) is not int or type(delta) is not int:
+        raise ValueError(f"degree and node count must be integers, got "
+                         f"{d!r} and {delta!r}")
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     if delta < 0:
@@ -251,6 +256,9 @@ def genus_nodal_p2(d: int, delta: int) -> int:
 
 def genus_smooth_p1x1(d: int, e: int) -> int:
     """Genus of a smooth bidegree-(d, e) curve in P1 x P1: (d-1)(e-1)."""
+    if type(d) is not int or type(e) is not int:
+        raise ValueError(f"genus formula needs integers d, e, got "
+                         f"({d!r}, {e!r})")
     if d < 1 or e < 1:
         raise ValueError(f"genus formula needs d, e >= 1, got ({d}, {e})")
     return (d - 1) * (e - 1)
@@ -263,5 +271,9 @@ def bidegree_intersection(a: tuple[int, int], b: tuple[int, int]) -> int:
     This is the sum form demanded by every identity that uses it, e.g.
     (d, e) o (1, 1) = d + e.
     """
-    (da, ea), (db, eb) = a, b
+    pair_a, pair_b = _pair(a), _pair(b)
+    if pair_a is None or pair_b is None:
+        raise ValueError(
+            f"bidegrees must be pairs of integers, got {a!r} and {b!r}")
+    (da, ea), (db, eb) = pair_a, pair_b
     return da * eb + ea * db

@@ -36,6 +36,8 @@ def test_dim_moduli_degree_zero_needs_three_marks():
         dim_moduli(P2, 0, 2)
     with pytest.raises(ValueError):
         dim_moduli(P1XP1, (0, 0), 1)
+    with pytest.raises(ValueError, match="mark count must be an integer"):
+        dim_moduli(P2, 1, 2.5)
 
 
 def test_dimension_admissible():

@@ -121,6 +121,8 @@ def test_stratum_dimension():
         stratum_dimension(6, 4)
     with pytest.raises(ValueError):
         stratum_dimension(6, -1)
+    with pytest.raises(ValueError, match="must be integers"):
+        stratum_dimension(5.5, 1)
 
 
 def brute_force_divisor_count(n):
@@ -143,6 +145,8 @@ def test_boundary_divisor_count():
         assert boundary_divisor_count_m0n(n) == brute_force_divisor_count(n)
     with pytest.raises(ValueError):
         boundary_divisor_count_m0n(3)
+    with pytest.raises(ValueError, match="must be an integer"):
+        boundary_divisor_count_m0n(4.0)
 
 
 def test_count_labeled_configurations():

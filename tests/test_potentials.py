@@ -139,7 +139,6 @@ def test_wdvv_residual_p1x1_sensitivity():
 def test_phi_ijk_coefficient_extraction():
     # coefficient of x^a / a! in Phi_ijk is the collected invariant with
     # the three extra classes appended; checked for all |a| <= 4
-    from gwcalc.potentials import _exponent_vectors
     order = 4
     cases = [
         (P1, (0, 0, 1)), (P1, (0, 1, 1)), (P1, (1, 1, 1)),
@@ -151,7 +150,10 @@ def test_phi_ijk_coefficient_extraction():
     ]
     for target, (i, j, k) in cases:
         phi = phi_ijk(target, i, j, k, order)
-        for a in _exponent_vectors(target.basis_size, order):
+        for a in itertools.product(range(order + 1),
+                                   repeat=target.basis_size):
+            if sum(a) > order:
+                continue
             extended = list(a)
             for idx in (i, j, k):
                 extended[idx] += 1
@@ -166,10 +168,11 @@ def test_phi_ijk_coefficient_extraction():
 def test_phi_ijk_derivative_route():
     # build Phi itself from collected invariants and differentiate thrice;
     # this exercises the factorial bookkeeping of the direct assembly
-    from gwcalc.potentials import _exponent_vectors
     order = 7
     terms = {}
-    for a in _exponent_vectors(3, order):
+    for a in itertools.product(range(order + 1), repeat=3):
+        if sum(a) > order:
+            continue
         value = collected_invariant(P2, a)
         if value:
             denom = 1
@@ -270,14 +273,21 @@ def test_residuals_check_the_order_then_each_index(name, args, message):
 
 
 def test_exponent_vectors_do_not_recurse_per_variable():
-    from gwcalc.potentials import _exponent_vectors
+    from gwcalc.potentials import _vectors
+    from gwcalc.series import _variable_keys
     assert sys.getrecursionlimit() < 2000
-    vectors = list(_exponent_vectors(2000, 1))
+    vectors = _vectors(range(2000), _variable_keys(2000, 1), 1)
     assert len(vectors) == 2001
-    assert vectors[0] == (0,) * 2000 and vectors[-1] == (1,) + (0,) * 1999
-    assert list(_exponent_vectors(0, 3)) == [()]
-    assert list(_exponent_vectors(2, 2)) == [
-        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert vectors[0] == ((), 0, 0, 1)
+    assert [v for v, _, _, _ in vectors[1:]] == [
+        ((c, 1),) for c in range(2000)]
+    assert _vectors([], [], 3) == [((), 0, 0, 1)]
+    unit = _variable_keys(2, 2)
+    assert _vectors(range(2), unit, 2) == [
+        ((), 0, 0, 1), (((0, 1),), unit[0], 1, 1),
+        (((1, 1),), unit[1], 1, 1), (((0, 2),), 2 * unit[0], 2, 2),
+        (((1, 2),), 2 * unit[1], 2, 2),
+        (((0, 1), (1, 1)), unit[0] + unit[1], 2, 1)]
 
 
 def test_clear_caches_leaves_no_table_behind():

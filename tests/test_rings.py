@@ -285,6 +285,23 @@ def test_wide_big_products_are_pinned(r, order, digest):
     assert hashlib.sha256(product.render().encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("target, i, j, order, digest", [
+    (P1XP1, 1, 2, 40,
+     "8a5319fcb62ec0aebb4fe476a1b4109a64fe7d223538a6c382c5df4fc71a6419"),
+    (P1XP1, 3, 3, 24,
+     "a062a84b3af017b9841a58eac27304be3943440c0234f011c9be3f89fb2d9d77"),
+    (ProjectiveSpace(1), 1, 1, 300,
+     "23d0fdef97df0b2665ee1b7e97886b9dacbc3331c252e65ee436aa4a92f08b78"),
+])
+def test_long_exp_rows_are_pinned(target, i, j, order, digest):
+    # sha256 of the render as the column-wise rows of exp(<beta, x>)
+    # printed it: long rows over two divisors on P1xP1, and over one
+    # divisor on P^1, where each head's scale order! / u! is a big int.
+    product = big_qmul(BigQuantumElement.basis(target, i, order),
+                       BigQuantumElement.basis(target, j, order))
+    assert hashlib.sha256(product.render().encode()).hexdigest() == digest
+
+
 def test_big_commutativity_random_elements():
     rng = random.Random(53)
     order = 3

@@ -183,6 +183,9 @@ def test_required_points():
         required_points(ProjectiveSpace(3), 1)
     with pytest.raises(ValueError):
         required_points(P1XP1, (0, 0))
+    for degree in (2.5, True):
+        with pytest.raises(ValueError, match="expects an integer degree"):
+            required_points(ProjectiveSpace(2), degree)
 
 
 def test_genus_nodal_p2():
@@ -191,6 +194,8 @@ def test_genus_nodal_p2():
     assert genus_nodal_p2(4, 0) == 3
     with pytest.raises(ValueError):
         genus_nodal_p2(3, 2)  # more nodes than the degree allows
+    with pytest.raises(ValueError, match="must be integers"):
+        genus_nodal_p2(4, 0.5)
 
 
 def test_genus_smooth_p1x1():
@@ -199,6 +204,8 @@ def test_genus_smooth_p1x1():
     assert genus_smooth_p1x1(3, 3) == 4
     with pytest.raises(ValueError):
         genus_smooth_p1x1(0, 1)
+    with pytest.raises(ValueError, match="needs integers"):
+        genus_smooth_p1x1(True, 3)
 
 
 def test_bidegree_intersection():
@@ -208,3 +215,5 @@ def test_bidegree_intersection():
             assert bidegree_intersection((d, e), (0, 1)) == d
             assert bidegree_intersection((d, e), (1, 1)) == d + e
     assert bidegree_intersection((1, 1), (1, 1)) == 2
+    with pytest.raises(ValueError, match="pairs of integers"):
+        bidegree_intersection((1.5, 0), (1, 1))
