@@ -190,6 +190,9 @@ def count_labeled_configurations(n: int, shape: Sequence[int]) -> int:
     """Number of ways to distribute n labeled marks over twigs of the
     given sizes: the multinomial n! / prod(size!)."""
     sizes = list(shape)
+    if type(n) is not int or not {int}.issuperset(map(type, sizes)):
+        raise ValueError(f"mark count and twig sizes must be integers, got "
+                         f"{n!r} and {shape!r}")
     if any(s < 0 for s in sizes):
         raise ValueError(f"twig sizes must be >= 0, got {shape}")
     if sum(sizes) != n:

@@ -64,7 +64,8 @@ from typing import Callable, Iterable
 
 from .gw import Marks, _degree_zero, _stripped, _vdim
 from .series import TruncatedSeries, _variable_keys
-from .targets import P1XP1, Degree, P1xP1, ProjectiveSpace, TargetSpace
+from .targets import (P1XP1, Degree, P1xP1, ProjectiveSpace, TargetSpace,
+                      _at_least)
 
 NdSource = Callable[[int], int]
 NdeSource = Callable[[int, int], int]
@@ -123,8 +124,7 @@ def gw_potential_p1(order: int) -> TruncatedSeries:
     A closed form, independent of the invariant engine: the coefficient of
     x^a / a! is ``collected_invariant(ProjectiveSpace(1), a)``.  Raises
     ``_ListingTooLarge`` past the size bound of P^1's tables."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _at_least(order, 0, "order")
     _check_listing(_P1, order, (0, 1))
     x0, x1 = _variable_keys(2, order)
     nums: dict[int, int] = {}
@@ -489,8 +489,7 @@ def _phi(target: TargetSpace, idx: tuple[int, ...], order: int,
     in r."""
     for i in idx:
         target.codim(i)  # range check
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _at_least(order, 0, "order")
     if 0 in idx:
         return TruncatedSeries.constant(
             target.basis_size if keep is None else len(keep), order,
@@ -519,8 +518,7 @@ def _wdvv_residual(target: TargetSpace, order: int, count: Count | None,
     unordered pair once.  Only the entries that do not cancel are
     expanded; a vanishing residual expands nothing.  The order is checked
     first, then i, j, k and l in turn."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _at_least(order, 0, "order")
     m = target.basis_size
     table = _expansion(target, order, keep, count)
     for index in (i, j, k, l):

@@ -16,35 +16,42 @@ q = exp(x) belongs to the potential layer and never happens here.
 The big quantum product works over truncated power series in the full set
 of dual variables: h^i * h^j = sum_{e+f=r} Phi_ije h^f with structure
 constants taken from the potential module at the requested order.
+
+Both element types are ``targets._Record``s, as the series are: assigning
+or deleting a field raises ``AttributeError``, and a ring element's
+``coeffs`` and each of its polynomials are read-only maps, so a value
+cannot change after it is built.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .potentials import phi_ijk
 from .series import _DOT, TruncatedSeries, _degree, _term
-from .targets import P1xP1, ProjectiveSpace, TargetSpace
+from .targets import P1xP1, ProjectiveSpace, TargetSpace, _Record, _at_least
 
 Monomial = tuple[int, ...]  # exponents of the deformation parameters
 
 
-class RingElement:
+class RingElement(_Record):
     """Element of a (small quantum) cohomology ring.
 
     ``coeffs`` maps a basis index to a sparse polynomial, itself a map
-    from a deformation-parameter exponent tuple to a rational coefficient.
-    Zero coefficients are never stored.
+    from a deformation-parameter exponent tuple to a rational coefficient;
+    both maps are read-only.  Zero coefficients are never stored.
     """
 
     __slots__ = ("target", "coeffs")
+    __match_args__ = __slots__
 
     def __init__(self, target: TargetSpace,
                  coeffs: Mapping[int, Mapping[Monomial, Fraction]] | None = None):
         nparams = len(target.params)
-        clean: dict[int, dict[Monomial, Fraction]] = {}
+        clean: dict[int, Mapping[Monomial, Fraction]] = {}
         if coeffs:
             for basis, poly in coeffs.items():
                 target.codim(basis)  # range check
@@ -59,12 +66,12 @@ class RingElement:
                     if value:
                         entry[tuple(mono)] = value
                 if entry:
-                    clean[basis] = entry
+                    clean[basis] = MappingProxyType(entry)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RingElement is immutable")
+    def _values(self) -> tuple:
+        return (self.target, self.coeffs)
 
     @classmethod
     def zero(cls, target: TargetSpace) -> "RingElement":
@@ -78,11 +85,6 @@ class RingElement:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.target == other.target and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.target,
@@ -103,9 +105,7 @@ class RingElement:
         return RingElement(self.target, coeffs)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.target,
-                           {b: {m: -c for m, c in p.items()}
-                            for b, p in self.coeffs.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         if not isinstance(other, RingElement):
@@ -212,16 +212,15 @@ def small_qmul_p1x1(a: RingElement, b: RingElement) -> RingElement:
 
 
 def star_power(element: RingElement, exponent: int) -> RingElement:
-    """exponent-fold small quantum power (exponent >= 1)."""
-    if exponent < 1:
-        raise ValueError(f"exponent must be >= 1, got {exponent}")
+    """exponent-fold small quantum power (exponent an int >= 1)."""
+    _at_least(exponent, 1, "exponent")
     result = element
     for _ in range(exponent - 1):
         result = small_qmul(result, element)
     return result
 
 
-class BigQuantumElement:
+class BigQuantumElement(_Record):
     """Element of Q[[x]] (x) A*(X): one truncated series per basis class.
 
     All component series share the variable count (one variable per basis
@@ -229,6 +228,7 @@ class BigQuantumElement:
     """
 
     __slots__ = ("target", "order", "components")
+    __match_args__ = __slots__
 
     def __init__(self, target: TargetSpace, order: int,
                  components: tuple[TruncatedSeries, ...] | list[TruncatedSeries]):
@@ -248,8 +248,8 @@ class BigQuantumElement:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "components", components)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BigQuantumElement is immutable")
+    def _values(self) -> tuple:
+        return (self.target, self.order, self.components)
 
     @classmethod
     def basis(cls, target: TargetSpace, index: int, order: int
@@ -268,15 +268,6 @@ class BigQuantumElement:
 
     def component(self, index: int) -> TruncatedSeries:
         return self.components[index]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BigQuantumElement):
-            return NotImplemented
-        return (self.target == other.target and self.order == other.order
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash((self.target, self.order, self.components))
 
     def __add__(self, other: "BigQuantumElement") -> "BigQuantumElement":
         if not isinstance(other, BigQuantumElement):

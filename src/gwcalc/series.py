@@ -39,8 +39,11 @@ scalar operands take ints and Fractions, and ``terms`` (a read-only view
 built on each access), ``coefficient``, ``leading_term`` and ``render``
 give canonical Fractions.
 
-Instances are immutable after construction; all operations return new
-series, so sharing between threads is safe.
+A series is a ``targets._Record``: assigning or deleting any field
+raises ``AttributeError``, ``==`` compares (nvars, order, denominator,
+numerators), and all operations return new series, so a series that a
+memo hands out, such as a structure constant, is safe to share between
+callers and threads.
 
 The canonical text form writes terms in lexicographic order of their
 exponent tuples, coefficients as ``num/den``, monomials with an explicit
@@ -56,22 +59,24 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from .targets import _Record, _at_least
+
 _DOT = "·"
 
 Exponents = tuple[int, ...]
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Record):
     """A formal power series in ``nvars`` variables, exact up to ``order``."""
 
     __slots__ = ("nvars", "order", "_den", "_nums")
+    __match_args__ = __slots__
 
     def __init__(self, nvars: int, order: int,
                  terms: Mapping[Exponents, Fraction] | None = None):
         if nvars < 1:
             raise ValueError(f"need at least one variable, got {nvars}")
-        if order < 0:
-            raise ValueError(f"truncation order must be >= 0, got {order}")
+        _at_least(order, 0, "truncation order")
         clean: dict[Exponents, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
@@ -87,9 +92,6 @@ class TruncatedSeries:
         _fill(self, nvars, order, den,
               {_pack(e, radix): c.numerator * (den // c.denominator)
                for e, c in clean.items()})
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
     def _trusted(cls, nvars: int, order: int, den: int,
@@ -155,11 +157,8 @@ class TruncatedSeries:
         exps, num = min(self._unpacked())
         return exps, Fraction(num, self._den)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.nvars == other.nvars and self.order == other.order
-                and self._den == other._den and self._nums == other._nums)
+    def _values(self) -> tuple:
+        return (self.nvars, self.order, self._den, self._nums)
 
     def __hash__(self):
         return hash((self.nvars, self.order, self._den,
@@ -253,11 +252,10 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Restrict to a lower order (raising the order would overclaim)."""
+        _at_least(order, 0, "truncation order")
         if order > self.order:
             raise ValueError(
                 f"cannot extend trusted order {self.order} to {order}")
-        if order < 0:
-            raise ValueError(f"truncation order must be >= 0, got {order}")
         return TruncatedSeries._trusted(self.nvars, order, self._den,
                                         self._keyed_at(order))
 

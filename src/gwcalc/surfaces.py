@@ -94,6 +94,9 @@ def _fill_nd(d: int, table: dict[int, int]) -> int:
     Entries already in ``table`` are reused, missing ones are written;
     N_1 = 1 is never read from or written to it.
     """
+    if type(d) is not int:
+        raise ValueError(
+            f"plane curve count needs an integer degree, got {d!r}")
     if d < 1:
         raise ValueError(f"plane curve count needs degree >= 1, got {d}")
     if d == 1:
@@ -147,6 +150,9 @@ def _fill_nde(d: int, e: int, table: dict[tuple[int, int], int]) -> int:
     bidegree (0, k) or (k, 0) with k > 1, or the undefined (0, 0)) are
     skipped before any product is formed.
     """
+    if _pair((d, e)) is None:
+        raise ValueError(
+            f"bidegree components must be integers, got ({d!r}, {e!r})")
     if d < 0 or e < 0:
         raise ValueError(f"bidegree components must be >= 0, got ({d}, {e})")
     if d + e < 1:

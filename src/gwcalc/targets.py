@@ -24,7 +24,9 @@ counts.  Because only the counts are stored, keys are invariant under
 permutation of the input classes by construction.  ``validate_degree``
 (the sign by ``_degree_parts``, which ``partitions`` shares) and
 ``_checked_exponents`` (which ``gw.collected_invariant`` shares) check a
-key's input and return the tuples it stores.
+key's input and return the tuples it stores.  ``_at_least`` is the rule
+for an order or exponent argument: an ``int``, not a bool, and not below
+its least value.
 """
 
 from __future__ import annotations
@@ -36,7 +38,11 @@ ExponentVector = tuple[int, ...]
 
 
 class _Record:
-    """A frozen value record, built without importing ``dataclasses``.
+    """A frozen value record, built without importing ``dataclasses``: the
+    one base of every public value type, the targets and ``InvariantKey``
+    here, ``MarkSet`` and ``WeightedPartition`` (``partitions``),
+    ``TruncatedSeries`` (``series``), ``RingElement`` and
+    ``BigQuantumElement`` (``rings``).
 
     ``__match_args__`` names the fields.  A subclass's ``__init__`` stores
     each one with ``object.__setattr__``, and its ``_values`` returns them
@@ -44,9 +50,12 @@ class _Record:
     loop over the names made building a key about 0.5 us slower, and
     hashing one about 1.5 us (CPython 3.11).  ``repr`` shows the fields by
     name, ``==`` and ``hash`` use the tuple, and assigning or deleting any
-    attribute raises ``AttributeError``.
+    attribute raises ``AttributeError``.  A class whose tuple holds a
+    mapping writes its own ``__hash__``.  ``__slots__ = ()`` adds no
+    ``__dict__``, so a subclass that names its ``__slots__`` has none.
     """
 
+    __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
@@ -80,7 +89,7 @@ class _Presented(_Record):
         return len(self.words)
 
     def codim(self, index: int) -> int:
-        if not 0 <= index < len(self.words):
+        if type(index) is not int or not 0 <= index < len(self.words):
             raise ValueError(f"basis index {index} out of range for {self}")
         return sum(self.words[index])
 
@@ -191,6 +200,15 @@ def _degree_parts(degree: Degree) -> tuple[int, ...]:
     if d < 0 or e < 0:
         raise ValueError(f"bidegree components must be >= 0, got ({d}, {e})")
     return pair
+
+
+def _at_least(value: int, least: int, name: str) -> None:
+    """Refuse ``value`` unless it is of type ``int`` exactly (a bool or a
+    float is refused) and at least ``least``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def exponents_from_classes(target: TargetSpace, classes: Iterable[int]) -> ExponentVector:

@@ -743,9 +743,14 @@ def test_readme_examples_hold(argv, expected, capsys, monkeypatch,
 ])
 def test_a_big_product_past_the_size_bound_exits_2_at_once(
         target, order, free, capsys, monkeypatch, restore_int_str_limit):
-    # f * C(f + order, order) ints list the free exponent vectors; the first
-    # four took 22 s, 52 s, over 40 s and all memory before the bound, and
-    # p4 ran past 60 s with 1.9 GB at order 1000, a tenth of its listing.
+    # f * C(f + order, order) counts the free exponent vectors as the f ints
+    # of a dense listing.  With only the bound raised, the sparse listing
+    # answers the first three (CPU time and peak RSS, a fresh process each
+    # under a 2 GB limit): p300 at order 2 in 1.8 s and 57 MB, p10000 at
+    # order 1 in 0.5 s and 56 MB, p100 at order 3 in 5.4-6.7 s and 148 MB;
+    # p1000 at order 2 gave no answer in 90 s.  With the dense listing and
+    # no bits bound, p4 ran past 60 s with 1.9 GB at order 1000, a tenth of
+    # its listing.
     monkeypatch.delenv("GW_CACHE", raising=False)
     started = time.perf_counter()
     assert main(["qmul", "--target", target, "--big", "--order", str(order),

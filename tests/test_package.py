@@ -12,7 +12,9 @@ import pytest
 import gwcalc
 from gwcalc.cli import main
 from gwcalc.partitions import MarkSet, WeightedPartition
-from gwcalc.targets import P1XP1, InvariantKey, P1xP1, ProjectiveSpace
+from gwcalc.rings import BigQuantumElement, RingElement
+from gwcalc.series import TruncatedSeries
+from gwcalc.targets import P1XP1, InvariantKey, P1xP1, ProjectiveSpace, _Record
 
 # The child processes import the same gwcalc as these tests, installed or not.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(gwcalc.__file__))
@@ -72,6 +74,10 @@ P2 = ProjectiveSpace(2)
 KEY = InvariantKey(P2, 3, (0, 0, 8))
 MARKS = MarkSet.standard(5)
 SPLIT = WeightedPartition(("m1", "m2", "p3"), ("p1", "p2"), 0, 1, 1, 0)
+SERIES = TruncatedSeries(2, 3, {(1, 0): 1, (0, 2): -2})
+RING = RingElement.basis(P2, 1, 3, (2,))
+BIG = BigQuantumElement.basis(P2, 1, 2)
+VALUES = (TruncatedSeries, RingElement, BigQuantumElement)
 
 
 def test_record_repr_eq_hash_and_match_args_are_pinned():
@@ -114,7 +120,8 @@ def test_record_repr_eq_hash_and_match_args_are_pinned():
 
 @pytest.mark.parametrize("record, field", [
     (P2, "r"), (P2, "index"), (P1XP1, "index"), (KEY, "degree"),
-    (MARKS, "labels"), (SPLIT, "d_a")])
+    (MARKS, "labels"), (SPLIT, "d_a"), (SERIES, "order"), (SERIES, "_nums"),
+    (RING, "coeffs"), (BIG, "components")])
 def test_records_refuse_assignment(record, field):
     before = getattr(record, field)
     with pytest.raises(AttributeError):
@@ -122,6 +129,26 @@ def test_records_refuse_assignment(record, field):
     with pytest.raises(AttributeError):
         delattr(record, field)
     assert getattr(record, field) == before
+
+
+def test_value_types_share_the_record_rule():
+    # One immutability rule: no value type writes its own guard or
+    # equality, and none has a __dict__ to take new attributes.
+    assert _Record.__slots__ == ()
+    for cls, value in zip(VALUES, (SERIES, RING, BIG)):
+        assert issubclass(cls, _Record)
+        assert {"__setattr__", "__delattr__", "__eq__"}.isdisjoint(
+            vars(cls)), cls
+        assert not hasattr(value, "__dict__")
+        assert cls.__match_args__ == cls.__slots__
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    assert "__hash__" not in vars(BigQuantumElement)
+    assert hash(BIG) == hash((P2, 2, BIG.components))
+    again = TruncatedSeries(2, 3, {(0, 2): -2, (1, 0): 1, (4, 0): 5})
+    assert again == SERIES and hash(again) == hash(SERIES)
+    assert SERIES != TruncatedSeries(2, 2, SERIES.terms)
+    assert RING == RingElement(P2, {1: {(2,): 3}}) and RING != SERIES
 
 
 def _modules_loaded_by(code, *argv):

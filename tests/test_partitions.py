@@ -155,6 +155,11 @@ def test_count_labeled_configurations():
     assert count_labeled_configurations(5, (2, 3)) == 10
     with pytest.raises(ValueError):
         count_labeled_configurations(6, (2, 5))
+    for n, shape in ((6.0, (2, 4)), (True, (1, 0)), (6, (2.0, 4))):
+        with pytest.raises(ValueError) as info:
+            count_labeled_configurations(n, shape)
+        assert str(info.value) == (f"mark count and twig sizes must be "
+                                   f"integers, got {n!r} and {shape!r}")
 
 
 @pytest.mark.parametrize("listing", [enumerate_partitions,

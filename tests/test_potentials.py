@@ -59,6 +59,10 @@ def test_gw_potential_p1():
     s = gw_potential_p1(10)
     for n in range(11):
         assert s.coefficient((0, n)) == Fraction(1, factorial(n))
+    for order in (True, 3.0):
+        with pytest.raises(ValueError) as info:
+            gw_potential_p1(order)
+        assert str(info.value) == f"order must be an integer, got {order!r}"
 
 
 def test_gamma_p2_point_coefficients():
@@ -260,8 +264,12 @@ def test_wdvv_general_pr():
     ("_wdvv_residual", (P1XP1, 3, None, None, 1, 2, 3, 4),
      "basis index 4 out of range for P1xP1"),
     ("wdvv_general_pr", (3, -1, 9, 1, 1, -1), "order must be >= 0, got -1"),
+    ("wdvv_general_pr", (3, 1, 1, True, 2, 3),
+     "basis index True out of range for P^3"),
+    ("wdvv_residual_p2", (True,), "order must be an integer, got True"),
+    ("wdvv_residual_p1x1", (4.0,), "order must be an integer, got 4.0"),
 ], ids=["negative-i", "i-past-r", "k-before-l", "negative-l", "p1x1-l",
-        "order-first"])
+        "order-first", "bool-k", "bool-order", "float-order"])
 def test_residuals_check_the_order_then_each_index(name, args, message):
     # Past the range check an index reads a weight by position, where -1
     # would be the last class, so each index is checked, in the order i,
@@ -376,6 +384,12 @@ def test_the_listing_bound_refuses_p4_from_order_3161():
     ((P3, 1, 2, 3, -1), "order must be >= 0, got -1"),
     ((ProjectiveSpace(1000), 1, 1, 1001, 1),
      "basis index 1001 out of range for P^1000"),
+    ((P3, True, 1, 2, 4), "basis index True out of range for P^3"),
+    ((P3, 1, 1, 2.0, 4), "basis index 2.0 out of range for P^3"),
+    # The table of order 4 is built above, so order 4.0 would be answered
+    # from it; order 3.0 has no table yet.
+    ((P3, 1, 1, 2, 4.0), "order must be an integer, got 4.0"),
+    ((P3, 1, 1, 2, 3.0), "order must be an integer, got 3.0"),
 ])
 def test_structure_constants_check_their_indices_before_the_lookup(
         args, message):

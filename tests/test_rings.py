@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from gwcalc.gw import gw_invariant
-from gwcalc.potentials import classical_potential
+from gwcalc.potentials import classical_potential, phi_ijk
 from gwcalc.rings import (BigQuantumElement, RingElement, big_qmul, cup_p1x1,
                           cup_pr, small_qmul, small_qmul_p1x1, small_qmul_pr,
                           star_power)
@@ -348,6 +348,56 @@ def test_bad_parameter_monomials_are_refused(mono):
     with pytest.raises(ValueError) as info:
         RingElement(P2, {1: {mono: 1}})
     assert str(info.value) == f"bad parameter monomial {mono}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RingElement.basis(P2, True),
+     "basis index True out of range for P^2"),
+    (lambda: RingElement(P2, {1.0: {(0,): 1}}),
+     "basis index 1.0 out of range for P^2"),
+    (lambda: cup_pr(True, 1, 2), "basis index True out of range for P^2"),
+    (lambda: cup_p1x1(1, 2.0), "basis index 2.0 out of range for P1xP1"),
+    (lambda: BigQuantumElement.basis(P2, 1.0, 2),
+     "basis index 1.0 out of range for P^2"),
+    (lambda: BigQuantumElement.basis(P2, 1, 2.0),
+     "truncation order must be an integer, got 2.0"),
+    (lambda: star_power(h(1, 2), 2.0), "exponent must be an integer, got 2.0"),
+    (lambda: star_power(h(1, 2), True),
+     "exponent must be an integer, got True"),
+])
+def test_indices_and_exponents_refuse_bools_and_floats(call, message):
+    # A bool is an int and 1.0 == 1, so each would pass a range check alone.
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_ring_elements_are_read_only():
+    a = h(1, 3) + h(3, 3, 2, (1,))
+    for mapping, key in ((a.coeffs, 3), (a.coeffs[3], (0,)),
+                         (a.coeffs[1], (0,))):
+        with pytest.raises(TypeError):
+            mapping[key] = 7
+        with pytest.raises(TypeError):
+            del mapping[key]
+    assert a == h(1, 3) + h(3, 3, 2, (1,))
+    assert a.coeffs == {1: {(0,): 1}, 3: {(1,): 2}}
+
+
+def test_a_shared_structure_constant_cannot_be_emptied():
+    # phi_ijk hands out the series kept in its table, and big_qmul reads it
+    # again from there.
+    p3 = ProjectiveSpace(3)
+    a, b = (BigQuantumElement.basis(p3, i, 3) for i in (1, 2))
+    product = big_qmul(a, b)
+    phi = phi_ijk(p3, 1, 2, 3, 3)
+    text = phi.render()
+    with pytest.raises(AttributeError):
+        del phi._nums
+    with pytest.raises(AttributeError):
+        phi.order = 2
+    assert phi_ijk(p3, 1, 2, 3, 3) is phi and phi.render() == text
+    assert big_qmul(a, b) == product
 
 
 def test_star_power_needs_a_positive_exponent():

@@ -364,6 +364,8 @@ def test_monomial_and_repr():
 @pytest.mark.parametrize("nvars, order, terms, message", [
     (0, 2, {}, "need at least one variable, got 0"),
     (2, -1, {}, "truncation order must be >= 0, got -1"),
+    (2, 3.0, {}, "truncation order must be an integer, got 3.0"),
+    (2, True, {}, "truncation order must be an integer, got True"),
     (2, 2, {(1,): 1}, "exponent tuple (1,) does not have 2 entries"),
     (2, 2, {(1, 0, 0): 1}, "exponent tuple (1, 0, 0) does not have 2 entries"),
     (2, 2, {(1, -1): 1}, "negative exponent in (1, -1)"),
@@ -383,6 +385,10 @@ def test_constructor_errors(nvars, order, terms, message):
     (lambda s: s.coefficient([0, -2]), "negative exponent in [0, -2]"),
     (lambda s: s.coefficient((2, 2)), "degree 4 exceeds the trusted order 3"),
     (lambda s: s.truncate(-1), "truncation order must be >= 0, got -1"),
+    (lambda s: s.truncate(2.0),
+     "truncation order must be an integer, got 2.0"),
+    (lambda s: s.truncate(True),
+     "truncation order must be an integer, got True"),
     (lambda s: s.truncate(4), "cannot extend trusted order 3 to 4"),
     (lambda s: s.partial_derivative(2), "variable index 2 out of range"),
     (lambda s: s.partial_derivative(-1), "variable index -1 out of range"),

@@ -45,6 +45,30 @@ def test_nd_invalid_degree():
         n_d(-2)
 
 
+@pytest.mark.parametrize("warm, call, message", [
+    (True, lambda: n_d(5.0),
+     "plane curve count needs an integer degree, got 5.0"),
+    (False, lambda: n_d(5.0),
+     "plane curve count needs an integer degree, got 5.0"),
+    (False, lambda: n_d(True),
+     "plane curve count needs an integer degree, got True"),
+    (True, lambda: n_de(2.0, 2),
+     "bidegree components must be integers, got (2.0, 2)"),
+    (False, lambda: n_de(2, True),
+     "bidegree components must be integers, got (2, True)"),
+], ids=["nd-warm", "nd-cold", "nd-bool", "nde-warm", "nde-bool"])
+def test_counts_check_the_degree_before_the_memo(warm, call, message):
+    # A float equal to a stored degree finds its entry in the memo, so the
+    # degree's type is checked before any lookup, warm or cold.
+    clear_caches()
+    if warm:
+        n_d(5)
+        n_de(2, 2)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_nde_golden_table():
     for (d, e), expected in NDE_TABLE.items():
         assert n_de(d, e) == expected
