@@ -232,6 +232,7 @@ class BigQuantumElement(_Record):
 
     def __init__(self, target: TargetSpace, order: int,
                  components: tuple[TruncatedSeries, ...] | list[TruncatedSeries]):
+        _at_least(order, 0, "order")
         m = target.basis_size
         components = tuple(components)
         if len(components) != m:

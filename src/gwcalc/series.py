@@ -74,6 +74,9 @@ class TruncatedSeries(_Record):
 
     def __init__(self, nvars: int, order: int,
                  terms: Mapping[Exponents, Fraction] | None = None):
+        if type(nvars) is not int:
+            raise ValueError(
+                f"variable count must be an integer, got {nvars!r}")
         if nvars < 1:
             raise ValueError(f"need at least one variable, got {nvars}")
         _at_least(order, 0, "truncation order")
@@ -124,7 +127,7 @@ class TruncatedSeries(_Record):
 
     @classmethod
     def variable(cls, nvars: int, order: int, index: int) -> "TruncatedSeries":
-        if not 0 <= index < nvars:
+        if type(index) is not int or not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range")
         exps = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, order, {exps: Fraction(1)})
@@ -262,7 +265,7 @@ class TruncatedSeries(_Record):
     def partial_derivative(self, var: int) -> "TruncatedSeries":
         """Formal d/dx_var; the trusted order drops by one, so a series of
         order 0 has no trusted derivative."""
-        if not 0 <= var < self.nvars:
+        if type(var) is not int or not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
         if not self.order:
             raise ValueError("a series of trusted order 0 has no trusted "
@@ -279,7 +282,7 @@ class TruncatedSeries(_Record):
 
     def substitute_zero(self, var: int) -> "TruncatedSeries":
         """Set x_var = 0, keeping the variable slot (order unchanged)."""
-        if not 0 <= var < self.nvars:
+        if type(var) is not int or not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
         radix = self.order + 1
         place = radix ** var
@@ -315,11 +318,13 @@ class TruncatedSeries(_Record):
 
 
 def _degree(exps: Exponents, nvars: int) -> int:
-    """The total degree of x^exps, once the exponents are checked: one per
-    variable, none negative."""
+    """The total degree of x^exps, once the exponents are checked: one int
+    per variable, none negative (a bool or a float is refused)."""
     if len(exps) != nvars:
         raise ValueError(
             f"exponent tuple {exps} does not have {nvars} entries")
+    if not all(type(k) is int for k in exps):
+        raise ValueError(f"non-integer exponent in {exps}")
     if any(k < 0 for k in exps):
         raise ValueError(f"negative exponent in {exps}")
     return sum(exps)

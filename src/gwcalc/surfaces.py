@@ -14,14 +14,20 @@ every other term to the right-hand side.
 
 Each recursion is one function, its bottom-up filler: ``_fill_nd`` fills
 its table in rising degree, ``_fill_nde`` in rising d + e, so no call
-stack grows with the degree.  Every new entry gets one binomial row, built
-incrementally, and every unordered split of its degree is visited once:
-the symmetry C(n, k) = C(n, n - k) turns the binomials of a split's mirror
-into entries of the same row, so the two terms share one product of lower
-counts.  A filler also checks the degree and answers the base cases, and
-fills whatever table it is handed: the public counts differ only in that
-table, the shared memo for ``n_d`` and ``n_de`` and a caller's dict for
-the raw variants.
+stack grows with the degree.  Every unordered split of a new entry's
+degree is visited once: the symmetry C(n, k) = C(n, n - k) turns the
+binomials of a split's mirror into the split's own, so the two terms
+share one product of lower counts.  ``_fill_nd`` writes both binomials
+of its balance equation, C(3k-4, 3a-2) and C(3k-4, 3a-1), as
+C(3k-2, 3a-1) times a small factor over (3k-2)(3k-3), so each split
+takes one binomial, built from the previous split's, and the sum is
+divided by (3k-2)(3k-3) once per degree.  Every term is (3k-2)(3k-3)
+times an integer term of the balance equation, so that division is
+exact.  ``_fill_nde`` reads a binomial row built incrementally for each
+degree sum.  A filler also checks the degree and answers the base cases,
+and fills whatever table it is handed: the public counts differ only in
+that table, the shared memo for ``n_d`` and ``n_de`` and a caller's dict
+for the raw variants.
 
 The memo tables are write-once per key and the functions are deterministic,
 so concurrent callers always observe identical values.  Every bidegree
@@ -87,12 +93,25 @@ def _fill_nd(d: int, table: dict[int, int]) -> int:
         N_k + sum C(3k-4, 3a-1) a^2 N_a * a b * N_b
             = sum C(3k-4, 3a-2) a N_a * a b * b N_b
 
-    with both sums over a + b = k, a, b >= 1.  Because
-    C(3k-4, 3b-2) = C(3k-4, 3a-2) and C(3k-4, 3b-1) = C(3k-4, 3a-3), the
-    terms for a and b share one product N_a N_b, so each unordered split
-    is visited once; the split a = b is its own mirror and counted once.
-    Entries already in ``table`` are reused, missing ones are written;
-    N_1 = 1 is never read from or written to it.
+    with both sums over a + b = k, a, b >= 1.  With n = 3k - 2, so that
+    3k - 4 = n - 2, both binomials are C(n, 3a-1) times a small factor
+    over n(n-1):
+    C(n-2, 3a-2) = C(n, 3a-1) (3a-1)(3b-1) / n(n-1) and
+    C(n-2, 3a-1) = C(n, 3a-1) (3b-1)(3b-2) / n(n-1).  So the split (a, b)
+    contributes
+
+        C(n, 3a-1) a^2 b (3b-1)(2a-b) N_a N_b / n(n-1),
+
+    and since C(n, 3b-1) = C(n, 3a-1), the terms of a split and its
+    mirror share one binomial and one product N_a N_b, with the joint
+    weight C(n, 3a-1) ab (3ab(k+2) - 2k^2).  Each unordered split is
+    visited once, the split a = b with half that weight, and the sum is
+    divided by n(n-1) once per degree.  Each term is n(n-1) times an
+    integer term of the balance equation, so that division is exact
+    whatever counts the table holds.  The binomials C(n, 3a-1) are taken
+    in rising a, each from the one before by one multiply and one exact
+    division.  Entries already in ``table`` are reused, missing ones are
+    written; N_1 = 1 is never read from or written to it.
     """
     if type(d) is not int:
         raise ValueError(
@@ -108,19 +127,21 @@ def _fill_nd(d: int, table: dict[int, int]) -> int:
     for k in range(2, d + 1):
         value = table.get(k)
         if value is None:
-            half = k // 2
-            row = _binomial_row(3 * k - 4, 3 * half - 1)
+            n = 3 * k - 2
+            binom = n * (n - 1) // 2        # C(3k-2, 3a-1) at a = 1
+            s, t = 3 * (k + 2), 2 * k * k
             value = 0
-            for a in range(1, half + 1):
+            for a in range(1, k // 2 + 1):
                 b = k - a
-                j = 3 * a
+                ab = a * b
+                weight = ab * (s * ab - t)
                 if a == b:
-                    weight = (row[j - 2] - row[j - 1]) * a ** 4
-                else:
-                    weight = a * b * (2 * a * b * row[j - 2]
-                                      - a * a * row[j - 1]
-                                      - b * b * row[j - 3])
-                value += weight * (counts[a] * counts[b])
+                    weight //= 2
+                value += binom * weight * (counts[a] * counts[b])
+                j = 3 * a - 1
+                binom = (binom * ((n - j) * (n - j - 1) * (n - j - 2))
+                         // ((j + 1) * (j + 2) * (j + 3)))
+            value //= n * (n - 1)
             table[k] = value
         counts.append(value)
     return counts[d]

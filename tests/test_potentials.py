@@ -111,6 +111,12 @@ def test_wdvv_residual_p2():
     assert wdvv_residual_p2(0).is_zero()
 
 
+def test_wdvv_residual_p2_vanishes_over_the_benchmark_range():
+    # Order 662 reads N_d up to d = 222, so it covers every entry that the
+    # counts benchmark fills (d <= 220).
+    assert wdvv_residual_p2(662).is_zero()
+
+
 def test_wdvv_residual_p2_sensitivity():
     perturbed = lambda d: 13 if d == 3 else n_d(d)
     residual = wdvv_residual_p2(8, nd=perturbed)

@@ -343,7 +343,7 @@ def test_ring_element_arithmetic_and_hash():
     assert {a: 1}[rebuilt] == 1
 
 
-@pytest.mark.parametrize("mono", [(0, 1), (-1,), ()])
+@pytest.mark.parametrize("mono", [(0, 1), (-1,), (), (1.0,), (True,)])
 def test_bad_parameter_monomials_are_refused(mono):
     with pytest.raises(ValueError) as info:
         RingElement(P2, {1: {mono: 1}})
@@ -361,6 +361,10 @@ def test_bad_parameter_monomials_are_refused(mono):
      "basis index 1.0 out of range for P^2"),
     (lambda: BigQuantumElement.basis(P2, 1, 2.0),
      "truncation order must be an integer, got 2.0"),
+    (lambda: BigQuantumElement(P2, 2.0, [TruncatedSeries.zero(3, 2)] * 3),
+     "order must be an integer, got 2.0"),
+    (lambda: BigQuantumElement(P2, True, [TruncatedSeries.zero(3, 1)] * 3),
+     "order must be an integer, got True"),
     (lambda: star_power(h(1, 2), 2.0), "exponent must be an integer, got 2.0"),
     (lambda: star_power(h(1, 2), True),
      "exponent must be an integer, got True"),

@@ -370,6 +370,10 @@ def test_monomial_and_repr():
     (2, 2, {(1, 0, 0): 1}, "exponent tuple (1, 0, 0) does not have 2 entries"),
     (2, 2, {(1, -1): 1}, "negative exponent in (1, -1)"),
     (2, 2, {(5, -1): 1}, "negative exponent in (5, -1)"),
+    (True, 3, {(1,): 1}, "variable count must be an integer, got True"),
+    (2.0, 3, {(1, 0): 1}, "variable count must be an integer, got 2.0"),
+    (2, 2, {(1.0, 0): 1}, "non-integer exponent in (1.0, 0)"),
+    (2, 2, {(True, 0): 1}, "non-integer exponent in (True, 0)"),
 ])
 def test_constructor_errors(nvars, order, terms, message):
     with pytest.raises(ValueError) as info:
@@ -398,6 +402,12 @@ def test_constructor_errors(nvars, order, terms, message):
      "variable index 5 out of range"),
     (lambda s: TruncatedSeries.variable(2, 2, -1),
      "variable index -1 out of range"),
+    (lambda s: TruncatedSeries.variable(2, 2, True),
+     "variable index True out of range"),
+    (lambda s: s.partial_derivative(True), "variable index True out of range"),
+    (lambda s: s.substitute_zero(True), "variable index True out of range"),
+    (lambda s: s.partial_derivative(1.0), "variable index 1.0 out of range"),
+    (lambda s: s.coefficient((1.0, 0)), "non-integer exponent in (1.0, 0)"),
 ])
 def test_query_errors(call, message):
     s = TruncatedSeries(2, 3, {(1, 0): 1, (1, 2): Fraction(1, 2)})

@@ -96,11 +96,19 @@ def test_nde_column_one():
 
 
 def test_nd_matches_unpaired_reference():
-    reference = reference_n_d(40)
+    # Up to d = 220, the top of the benchmark's range.  The reference keeps
+    # the two binomials C(3d-4, 3a-2) and C(3d-4, 3a-1) of the balance
+    # equation, so it shares none of the filler's one-binomial algebra.
+    reference = reference_n_d(220)
     assert reference[1:13] == [ND_TABLE[d] for d in range(1, 13)]
-    for d in range(1, 41):
+    clear_caches()
+    for d in range(1, 221):
         assert n_d(d) == reference[d], d
+    for d in range(1, 41):
         assert n_d_raw(d, {}) == reference[d], d
+    table = {}
+    assert n_d_raw(220, table) == reference[220]
+    assert table == {d: reference[d] for d in range(2, 221)}
 
 
 def test_nde_matches_unpaired_reference_in_both_orientations():
