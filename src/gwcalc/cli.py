@@ -201,7 +201,9 @@ def _cmd_nd(args) -> dict:
     if args.d < 1:
         raise UsageError(f"--d must be >= 1, got {args.d}")
     if args.upto:
-        # Each count is converted to decimal once, for all three formats.
+        # One fill of the table up to d; each count below is then a
+        # lookup, converted to decimal once for all three formats.
+        surfaces.n_d(args.d)
         texts = [str(surfaces.n_d(d)) for d in range(1, args.d + 1)]
         return {
             "inputs": {"d": args.d, "upto": True},
@@ -218,6 +220,8 @@ def _cmd_nde(args) -> dict:
         bound = args.upto
         if bound < 0:
             raise UsageError(f"--upto must be >= 0, got {bound}")
+        if bound:  # one fill of the whole box; N_(0,0) is never asked for
+            surfaces.n_de(bound, bound)
         matrix = [["x" if d == e == 0 else str(surfaces.n_de(d, e))
                    for e in range(bound + 1)] for d in range(bound + 1)]
         header = "d\\e," + ",".join(str(e) for e in range(bound + 1))

@@ -55,7 +55,6 @@ not cancel: a vanishing residual expands nothing.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
 from itertools import accumulate
 from math import comb
@@ -291,8 +290,10 @@ class _Expansion:
         # needs: a head fits beside a tail exactly when its degree does.
         heads = _vectors(divisors, unit, order)
         self.heads = [(u, key, head_den // den) for u, key, _, den in heads]
-        per_degree = Counter(n for _, _, n, _ in heads)
-        self.sizes = list(accumulate(per_degree[n] for n in range(order + 1)))
+        per_degree = [0] * (order + 1)
+        for _, _, n, _ in heads:
+            per_degree[n] += 1
+        self.sizes = list(accumulate(per_degree))
         buckets: dict[int, list[tuple]] = {}
         for f, key, n, den in _vectors(placed[:-1], unit, order):
             buckets.setdefault(sum(weight[c] * a for c, a in f), []).append(
@@ -304,12 +305,16 @@ class _Expansion:
                                           initial=1))[::-1] if placed else [1]
         # A product adds two pairings digit by digit.
         self.pair_radix = radix = 2 * most + 1
-        # The pairing with divisor c, at pairing[c - 1], packs at digit i.
-        units = [(c - 1, radix ** i * bound) for i, c in enumerate(divisors)]
+        # The pairing with divisor c, at pairing[c - 1], packs at digit i;
+        # a divisor that is not kept packs at none.
+        units = [0] * len(target.params)
+        for i, c in enumerate(divisors):
+            units[c - 1] = radix ** i * bound
+        pairings = target.pairings
         self.classes = [
-            [(beta, pairing, sum(pairing[at] * u for at, u in units))
+            [(beta, pairing, sum(map(mul, pairing, units)))
              for beta in target.degrees(total)
-             for pairing in (target.pairings(beta),)]
+             for pairing in (pairings(beta),)]
             for total in range(most + 1)]
         self.count = count or partial(_stripped, target)
         self.rows: dict[int, list[tuple[int, int]]] = {}

@@ -6,7 +6,10 @@ power that reaches the index n carries into its parameter, g^n = q_g.  On
 P^r that is h^i * h^j = h^(i+j) if i + j <= r and q h^(i+j-r-1) otherwise;
 on P1xP1, T_1 T_1 = q_v, T_1 T_2 = T_3, T_1 T_3 = q_v T_2 and
 T_3 T_3 = q_v q_h.  The products of the basis classes are tabled once per
-target.
+target.  A small quantum power is taken by repeated squaring, about
+2 log2 e products instead of e - 1; since the small product is associative
+(the WDVV equation) and commutative and its coefficients are exact, that
+bracketing gives the left fold's value exactly.
 
 A ring element keeps, per basis class, a sparse polynomial in the
 deformation parameters (q, or q_v and q_h) with rational coefficients.
@@ -20,13 +23,17 @@ constants taken from the potential module at the requested order.
 Both element types are ``targets._Record``s, as the series are: assigning
 or deleting a field raises ``AttributeError``, and a ring element's
 ``coeffs`` and each of its polynomials are read-only maps, so a value
-cannot change after it is built.
+cannot change after it is built.  The constructor checks outside input;
+sums, scalings and small products, made from checked elements, are built
+by the private ``RingElement._trusted``, which only drops zero
+coefficients.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
@@ -70,6 +77,23 @@ class RingElement(_Record):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
+    @classmethod
+    def _trusted(cls, target: TargetSpace,
+                 coeffs: dict[int, dict[Monomial, Fraction]]) -> "RingElement":
+        """An element from polynomials whose basis indices, monomials and
+        Fraction coefficients are already checked, as those of a value
+        derived from checked elements are; only the zero coefficients and
+        the polynomials they empty are dropped here."""
+        clean = {}
+        for basis, poly in coeffs.items():
+            entry = {mono: c for mono, c in poly.items() if c}
+            if entry:
+                clean[basis] = MappingProxyType(entry)
+        element = object.__new__(cls)
+        object.__setattr__(element, "target", target)
+        object.__setattr__(element, "coeffs", MappingProxyType(clean))
+        return element
+
     def _values(self) -> tuple:
         return (self.target, self.coeffs)
 
@@ -101,8 +125,8 @@ class RingElement(_Record):
         for basis, poly in other.coeffs.items():
             entry = coeffs.setdefault(basis, {})
             for mono, coeff in poly.items():
-                entry[mono] = entry.get(mono, Fraction(0)) + coeff
-        return RingElement(self.target, coeffs)
+                entry[mono] = entry.get(mono, 0) + coeff
+        return RingElement._trusted(self.target, coeffs)
 
     def __neg__(self) -> "RingElement":
         return self.scale(-1)
@@ -114,9 +138,9 @@ class RingElement(_Record):
 
     def scale(self, factor) -> "RingElement":
         factor = Fraction(factor)
-        return RingElement(self.target,
-                           {b: {m: c * factor for m, c in p.items()}
-                            for b, p in self.coeffs.items()})
+        return RingElement._trusted(
+            self.target, {b: {m: c * factor for m, c in p.items()}
+                          for b, p in self.coeffs.items()})
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         if not isinstance(other, RingElement):
@@ -191,10 +215,12 @@ def small_qmul(a: RingElement, b: RingElement) -> RingElement:
             basis, mono = products[bi, bj]
             entry = coeffs.setdefault(basis, {})
             for ma, ca in pa.items():
+                ma = tuple(map(add, ma, mono))
                 for mb, cb in pb.items():
-                    key = tuple(x + y + z for x, y, z in zip(ma, mb, mono))
-                    entry[key] = entry.get(key, Fraction(0)) + ca * cb
-    return RingElement(target, coeffs)
+                    key = tuple(map(add, ma, mb))
+                    value = entry.get(key)
+                    entry[key] = ca * cb if value is None else value + ca * cb
+    return RingElement._trusted(target, coeffs)
 
 
 def small_qmul_pr(a: RingElement, b: RingElement, r: int) -> RingElement:
@@ -212,12 +238,20 @@ def small_qmul_p1x1(a: RingElement, b: RingElement) -> RingElement:
 
 
 def star_power(element: RingElement, exponent: int) -> RingElement:
-    """exponent-fold small quantum power (exponent an int >= 1)."""
+    """exponent-fold small quantum power (exponent an int >= 1), by
+    repeated squaring: floor(log2 e) squares and popcount(e) - 1 further
+    products.  The small quantum product is associative (the WDVV
+    equation) and commutative, and its coefficients are exact, so any
+    bracketing of the e factors gives the left fold's value exactly."""
     _at_least(exponent, 1, "exponent")
-    result = element
-    for _ in range(exponent - 1):
-        result = small_qmul(result, element)
-    return result
+    result = None
+    while True:
+        if exponent & 1:
+            result = element if result is None else small_qmul(result, element)
+        exponent >>= 1
+        if not exponent:
+            return result
+        element = small_qmul(element, element)
 
 
 class BigQuantumElement(_Record):

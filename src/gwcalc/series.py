@@ -14,9 +14,14 @@ the empty series has denominator 1.  All arithmetic runs on these ints.  A
 sum rescales both operands to the lcm of their denominators, a product
 convolves the stored numerators in order of rising degree over the product
 of the denominators, and each result is reduced once by the gcd of its
-denominator and numerators.  The constructor checks outside input;
+denominator and numerators.  A constant factor whose order does not
+truncate the other operand scales it, as an int or Fraction operand
+does, instead of convolving.  The constructor checks outside input;
 ``_trusted`` is the private constructor for numerators that are already
-checked.
+checked.  The constructor and the named constructors (``zero``,
+``constant``, ``monomial``, ``variable``) share one rule for the
+variable count and the order (``_check_shape``); ``zero`` and
+``constant`` then build the packed form directly.
 
 Each monomial x^a is stored under one graded int key, with radix
 R = order + 1 and n = nvars:
@@ -74,12 +79,7 @@ class TruncatedSeries(_Record):
 
     def __init__(self, nvars: int, order: int,
                  terms: Mapping[Exponents, Fraction] | None = None):
-        if type(nvars) is not int:
-            raise ValueError(
-                f"variable count must be an integer, got {nvars!r}")
-        if nvars < 1:
-            raise ValueError(f"need at least one variable, got {nvars}")
-        _at_least(order, 0, "truncation order")
+        _check_shape(nvars, order)
         clean: dict[Exponents, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
@@ -114,11 +114,18 @@ class TruncatedSeries(_Record):
 
     @classmethod
     def zero(cls, nvars: int, order: int) -> "TruncatedSeries":
-        return cls(nvars, order, {})
+        _check_shape(nvars, order)
+        return cls._trusted(nvars, order, 1, {})
 
     @classmethod
     def constant(cls, nvars: int, order: int, value) -> "TruncatedSeries":
-        return cls(nvars, order, {(0,) * nvars: Fraction(value)})
+        """The series ``value``, stored at key 0 (the monomial 1) in the
+        canonical form of the reduced Fraction."""
+        _check_shape(nvars, order)
+        value = Fraction(value)
+        num = value.numerator
+        return cls._trusted(nvars, order, value.denominator,
+                            {0: num} if num else {})
 
     @classmethod
     def monomial(cls, nvars: int, order: int, exps: Exponents,
@@ -127,6 +134,7 @@ class TruncatedSeries(_Record):
 
     @classmethod
     def variable(cls, nvars: int, order: int, index: int) -> "TruncatedSeries":
+        _check_shape(nvars, order)
         if type(index) is not int or not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range")
         exps = tuple(1 if i == index else 0 for i in range(nvars))
@@ -227,13 +235,17 @@ class TruncatedSeries(_Record):
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
-            num, den = other.numerator, other.denominator
-            return TruncatedSeries._trusted(
-                self.nvars, self.order, self._den * den,
-                _rescaled(self._nums, num) if num else {})
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
+        # A constant factor that does not lower the other's order scales
+        # it: the convolution would give the same numerators over the same
+        # denominator.
+        if other.order >= self.order and other._nums.keys() <= {0}:
+            return self._scaled(other._nums.get(0, 0), other._den)
+        if self.order >= other.order and self._nums.keys() <= {0}:
+            return other._scaled(self._nums.get(0, 0), self._den)
         order = min(self.order, other.order)
         # key(a) + key(b) < R^(n+1) exactly when |a| + |b| <= order.
         bound = (order + 1) ** (self.nvars + 1)
@@ -252,6 +264,12 @@ class TruncatedSeries(_Record):
             {k: n for k, n in acc.items() if n})
 
     __rmul__ = __mul__
+
+    def _scaled(self, num: int, den: int) -> "TruncatedSeries":
+        """The series times num / den, a reduced fraction (den > 0)."""
+        return TruncatedSeries._trusted(
+            self.nvars, self.order, self._den * den,
+            _rescaled(self._nums, num) if num else {})
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Restrict to a lower order (raising the order would overclaim)."""
@@ -315,6 +333,17 @@ class TruncatedSeries(_Record):
     def __repr__(self) -> str:
         return (f"TruncatedSeries(nvars={self.nvars}, order={self.order}, "
                 f"{self.render()})")
+
+
+def _check_shape(nvars: int, order: int) -> None:
+    """The one rule of every constructor: an int variable count of at least
+    one (a bool or a float is refused) and an int order of at least 0."""
+    if type(nvars) is not int:
+        raise ValueError(
+            f"variable count must be an integer, got {nvars!r}")
+    if nvars < 1:
+        raise ValueError(f"need at least one variable, got {nvars}")
+    _at_least(order, 0, "truncation order")
 
 
 def _degree(exps: Exponents, nvars: int) -> int:

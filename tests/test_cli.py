@@ -66,6 +66,8 @@ def test_nde_single_and_matrix():
     assert result.stdout.strip() == "96"
     result = run_cli("nde", "--upto", "1")
     assert result.stdout.splitlines() == ["x 1", "1 1"]
+    result = run_cli("nde", "--upto", "0")  # N_(0,0) is never asked for
+    assert (result.returncode, result.stdout) == (0, "x\n")
     result = run_cli("nde", "--d", "0", "--e", "0")
     assert result.returncode == 2
 

@@ -304,6 +304,45 @@ def test_exponent_vectors_do_not_recurse_per_variable():
         (((0, 1), (1, 1)), unit[0] + unit[1], 2, 1)]
 
 
+# Every (target, kept classes) a table is built for: all classes for the
+# structure constants, big products and general residuals, the point class
+# for the reduced P^2 constants, and x1..x3 for the P1xP1 ones.
+KEPT = ([(ProjectiveSpace(r), None, range(13)) for r in range(1, 5)]
+        + [(P2, (2,), range(151)), (P1XP1, None, range(13)),
+           (P1XP1, (1, 2, 3), range(13))])
+
+
+@pytest.mark.parametrize("target, keep, orders", KEPT,
+                         ids=lambda v: str(v) if v is not None else "all")
+def test_expansion_sizes_and_classes_match_a_recount(target, keep, orders):
+    from gwcalc.potentials import _Expansion, _check_listing
+    kept = tuple(range(target.basis_size)) if keep is None else keep
+    for order in orders:
+        table = _Expansion(target, order, keep)
+        _, divisors, _, _, most = _check_listing(target, order, kept)
+        # sizes[d]: the exponent vectors over the kept divisors of total
+        # <= d, the heads a row of degree d reads.
+        assert table.sizes == [
+            sum(1 for u in itertools.product(range(d + 1),
+                                             repeat=len(divisors))
+                if sum(u) <= d)
+            for d in range(order + 1)], (order, keep)
+        # Per total degree, each curve class with its pairing and, above
+        # the series keys, the pairing with each kept divisor as one digit.
+        expected = []
+        for total in range(most + 1):
+            row = []
+            for beta in target.degrees(total):
+                pairing = target.pairings(beta)
+                packed = 0
+                for digit, c in enumerate(divisors):
+                    packed += (pairing[c - 1] * table.pair_radix ** digit
+                               * table.bound)
+                row.append((beta, pairing, packed))
+            expected.append(row)
+        assert table.classes == expected, (order, keep)
+
+
 def test_clear_caches_leaves_no_table_behind():
     from gwcalc import potentials
     wdvv_residual_p1x1(6)

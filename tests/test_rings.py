@@ -411,6 +411,37 @@ def test_star_power_needs_a_positive_exponent():
     assert str(info.value) == "exponent must be >= 1, got 0"
 
 
+def element_of(target, *terms):
+    """The sum of coeff * mono * basis class over (class, coeff, mono)."""
+    element = RingElement.zero(target)
+    for index, coeff, mono in terms:
+        element += RingElement.basis(target, index, coeff, mono)
+    return element
+
+
+# Non-basis elements with Fraction coefficients and several parameter
+# monomials.  Their terms' degrees step by r on P^r and their bidegrees by
+# (1, -1) on P1xP1, so the e-th power has at most 2e + 1 terms.
+FOLD_ELEMENTS = [
+    *(element_of(ProjectiveSpace(r), (1, Fraction(3, 2), (0,)),
+                 (0, Fraction(-1, 3), (1,)), (r, Fraction(2, 5), (1,)))
+      for r in range(1, 5)),
+    element_of(P1XP1, (3, Fraction(3, 2), (0, 0)),
+               (0, Fraction(-1, 3), (1, 0)), (0, Fraction(2, 5), (0, 1))),
+]
+
+
+@pytest.mark.parametrize("element", FOLD_ELEMENTS,
+                         ids=lambda e: str(e.target))
+def test_star_power_matches_the_left_fold(element):
+    # Squaring brackets the factors otherwise than the fold does; the
+    # small product's associativity makes the two equal at every exponent.
+    fold = element
+    for exponent in range(1, 41):
+        assert star_power(element, exponent) == fold, exponent
+        fold = small_qmul(fold, element)
+
+
 def test_big_zero_hash_and_repr():
     zero = BigQuantumElement.zero(P2, 3)
     a = BigQuantumElement.basis(P2, 1, 3)

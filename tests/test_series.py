@@ -206,6 +206,23 @@ def test_arithmetic_results_are_canonical(pair, scalar):
             assert result.coefficient(exps) == result.terms.get(exps, 0)
 
 
+@pytest.mark.parametrize("value", [3, Fraction(-5, 6), 0])
+@pytest.mark.parametrize("const_order, other_order", [(5, 5), (7, 5), (2, 5)])
+def test_constant_factors_match_the_convolution(value, const_order,
+                                                 other_order):
+    # A constant of at least the other's order scales it; one of lower
+    # order truncates it.  Either way, and on either side, the product is
+    # the reference convolution, in canonical form.
+    other = random_series(random.Random(7), 2, other_order, nterms=12)
+    const = TruncatedSeries.constant(2, const_order, value)
+    order = min(const_order, other_order)
+    for a, b in ((const, other), (other, const)):
+        check_against(a * b, reference_product(a, b), 2, order)
+    zero = TruncatedSeries.zero(2, const_order)
+    for a, b in ((zero, other), (other, zero)):
+        check_against(a * b, {}, 2, order)
+
+
 def test_terms_view_is_read_only():
     s = TruncatedSeries(3, 3, {(1, 1, 0): Fraction(1, 2), (0, 0, 2): 3})
     copy = TruncatedSeries(3, 3, {(1, 1, 0): Fraction(1, 2), (0, 0, 2): 3})
@@ -408,6 +425,20 @@ def test_constructor_errors(nvars, order, terms, message):
     (lambda s: s.substitute_zero(True), "variable index True out of range"),
     (lambda s: s.partial_derivative(1.0), "variable index 1.0 out of range"),
     (lambda s: s.coefficient((1.0, 0)), "non-integer exponent in (1.0, 0)"),
+    (lambda s: TruncatedSeries.variable(2.0, 3, 0),
+     "variable count must be an integer, got 2.0"),
+    (lambda s: TruncatedSeries.constant(2.0, 3, 1),
+     "variable count must be an integer, got 2.0"),
+    (lambda s: TruncatedSeries.zero(2.0, 3),
+     "variable count must be an integer, got 2.0"),
+    (lambda s: TruncatedSeries.monomial(2.0, 3, (1, 0)),
+     "variable count must be an integer, got 2.0"),
+    (lambda s: TruncatedSeries.constant(0, 3, 1),
+     "need at least one variable, got 0"),
+    (lambda s: TruncatedSeries.constant(2, True, 1),
+     "truncation order must be an integer, got True"),
+    (lambda s: TruncatedSeries.zero(2, -1),
+     "truncation order must be >= 0, got -1"),
 ])
 def test_query_errors(call, message):
     s = TruncatedSeries(2, 3, {(1, 0): 1, (1, 2): Fraction(1, 2)})
